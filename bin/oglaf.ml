@@ -676,10 +676,7 @@ let autopar_cmd =
   let emit out source =
     match out with
     | None -> print_string source
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-          output_string oc source)
+    | Some path -> Glaf_runtime.Atomic_file.write path source
   in
   let verified_line n =
     Printf.eprintf "oglaf: verified: %d configurations bit-identical\n" n

@@ -36,12 +36,13 @@
       variables — is recorded in [checks]/[negatives] and re-verified
       at bind time, so a structurally identical body in a differently
       shaped scope can never run the wrong code.
-    - {e Keyed by structure, not identity.}  Programs are cached by an
-      MD5 digest of the marshalled AST (namespaced by the digest of
-      the whole compilation unit, because call compilation consults
-      the unit's subprogram table), so re-parsing an identical inline
-      script — the listener does this on every request — hits the
-      cache instead of recompiling. *)
+    - {e Owned by the unit.}  Compiled programs, stats sites and the
+      per-subprogram analyses live in the unit's {!unit_ctx} (call
+      compilation consults the unit's subprogram table), keyed by the
+      physical identity of the loop body or subprogram.  A state
+      resolves the context once ({!context}); a loop entry then costs
+      one short unit-local scan: no hashing, locking or string
+      building.  The context goes with its unit ({!release}). *)
 
 open Glaf_fortran
 open Glaf_runtime
@@ -260,15 +261,248 @@ and instr =
   | Istop of string option
   | Iexit  (** top-level EXIT: end body, signal loop exit *)
 
+(* --- per-unit contexts --------------------------------------------------- *)
+
+(** {1 Bail / coverage statistics}
+
+    One site per compiled construct (loop body or subprogram body) of a
+    unit.  [sk_runs] counts bytecode executions, [sk_bails] counts
+    tree-walk fallbacks (compile bails and bind refusals alike);
+    [sk_reason] names the first construct that made compilation bail,
+    when it did. *)
+module Stats = struct
+  type site = {
+    sk_id : string;
+    sk_label : string;
+    mutable sk_reason : string option;  (** under the unit's mutex *)
+    sk_runs : int Atomic.t;
+    sk_bails : int Atomic.t;
+  }
+
+  (* A read-only copy of a site, for reporting. *)
+  type row = {
+    r_unit : string;
+    r_id : string;
+    r_label : string;
+    r_reason : string option;
+    r_runs : int;
+    r_bails : int;
+  }
+
+  let run s = Atomic.incr s.sk_runs
+  let bail s = Atomic.incr s.sk_bails
+end
+
+(* Shape of an inlinable leaf (see {!leaf_shape}). *)
+type leaf_shape = { lf_heads : string list }
+
+(* A compile result (the program, or the construct that made it bail)
+   with the construct's stats site. *)
+type compiled = (program, string) result * Stats.site
+
+(* A unit-local table keyed by physical identity: an append-only array
+   published through an [Atomic], scanned with [==] without a lock;
+   inserts run under the unit's mutex.  Keys are the unit's own loop
+   bodies and subprograms, so a table never outgrows its unit. *)
+type ('k, 'v) ptbl = ('k * 'v) array Atomic.t
+
+let rec ptbl_scan a k i =
+  if i = Array.length a then raise_notrace Not_found
+  else
+    let k', v = Array.unsafe_get a i in
+    if k' == k then v else ptbl_scan a k (i + 1)
+
+(* @raise Not_found *)
+let ptbl_get (t : ('k, 'v) ptbl) (k : 'k) : 'v = ptbl_scan (Atomic.get t) k 0
+let ptbl_add t k v = Atomic.set t (Array.append (Atomic.get t) [| (k, v) |])
+
+(** Everything the bytecode layer keeps for one compilation unit: its
+    compiled loop bodies and subprograms (one table per calls mode:
+    index 0 without calls, 1 with), their stats sites, and the
+    per-subprogram analyses call compilation consults. *)
+type unit_ctx = {
+  u_cu : Ast.compilation_unit;
+  u_mu : Mutex.t;  (** guards inserts, [u_key], [u_sites] and reasons *)
+  mutable u_key : string option;  (** stats namespace, computed on demand *)
+  mutable u_sites : int;  (** loop-body sites so far, numbering their ids *)
+  mutable u_stamp : int;  (** registry use clock, under [registry_mu] *)
+  u_bodies : (Ast.stmt list, compiled) ptbl array;
+  u_subs : (Ast.subprogram, compiled) ptbl array;
+  u_written : (Ast.subprogram, (string, unit) Hashtbl.t) ptbl;
+  u_alloc : (Ast.subprogram, bool) ptbl;
+  u_leaf : (Ast.subprogram, leaf_shape option) ptbl;
+  u_compiles : int Atomic.t;  (** compilations run, bails included *)
+}
+
+let locked u f = Mutex.protect u.u_mu f
+
+(* [tbl]'s value for [k], computed by [f] outside the lock on a miss;
+   when two domains race, the first insert wins. *)
+let memo u tbl k f =
+  try ptbl_get tbl k
+  with Not_found ->
+    let v = f () in
+    locked u (fun () ->
+        try ptbl_get tbl k
+        with Not_found ->
+          ptbl_add tbl k v;
+          v)
+
+(* Record compile result [r] of [key] in calls mode [m]; a racing
+   domain's first insert wins.  The site is shared with the other
+   mode's entry for the same key, so a construct has one site per unit;
+   a loop-body site is numbered in first-compile order ([label#n]), a
+   subprogram's id is its label. *)
+let insert_compiled u tbls m key ~label ~numbered r : compiled =
+  Atomic.incr u.u_compiles;
+  locked u (fun () ->
+      try ptbl_get tbls.(m) key
+      with Not_found ->
+        let site =
+          try snd (ptbl_get tbls.(1 - m) key)
+          with Not_found ->
+            if numbered then u.u_sites <- u.u_sites + 1;
+            { Stats.sk_id =
+                (if numbered then Printf.sprintf "%s#%d" label u.u_sites
+                 else label);
+              sk_label = label; sk_reason = None;
+              sk_runs = Atomic.make 0; sk_bails = Atomic.make 0 }
+        in
+        (match r with
+        | Error why when site.sk_reason = None -> site.sk_reason <- Some why
+        | _ -> ());
+        ptbl_add tbls.(m) key (r, site);
+        (r, site))
+
+(* --- the unit registry --------------------------------------------------- *)
+
+(* The context of every unit a state was made for, least recently
+   resolved evicted first past [registry_cap].  An evicted context stays
+   valid for the states holding it; a later state for its unit starts a
+   fresh one (it recompiles, never misbehaves).  The cap sits well above
+   the listener's default 64-entry compile cache, whose evictions
+   {!release} units explicitly. *)
+let registry_cap = 256
+let registry : unit_ctx option array = Array.make registry_cap None
+let registry_mu = Mutex.create ()
+let registry_clock = ref 0
+
+let rec registry_find cu i =
+  if i = registry_cap then None
+  else
+    match registry.(i) with
+    | Some u when u.u_cu == cu -> Some (i, u)
+    | _ -> registry_find cu (i + 1)
+
+(** The context of [cu], created on first sight: one scan of the
+    registry with [==], never hashing the AST. *)
+let context (cu : Ast.compilation_unit) : unit_ctx =
+  Mutex.protect registry_mu (fun () ->
+      incr registry_clock;
+      let u =
+        match registry_find cu 0 with
+        | Some (_, u) -> u
+        | None ->
+          let stamp i = match registry.(i) with None -> -1 | Some u -> u.u_stamp in
+          let victim = ref 0 in
+          for i = 1 to registry_cap - 1 do
+            if stamp i < stamp !victim then victim := i
+          done;
+          let fresh () = Atomic.make [||] in
+          let u =
+            { u_cu = cu; u_mu = Mutex.create (); u_key = None; u_sites = 0;
+              u_stamp = 0; u_bodies = [| fresh (); fresh () |];
+              u_subs = [| fresh (); fresh () |]; u_written = fresh ();
+              u_alloc = fresh (); u_leaf = fresh (); u_compiles = Atomic.make 0 }
+          in
+          registry.(!victim) <- Some u;
+          u
+      in
+      u.u_stamp <- !registry_clock;
+      u)
+
+(** Drop [cu]'s context from the registry: its programs, sites and
+    analyses go once no state holds them. *)
+let release (cu : Ast.compilation_unit) =
+  Mutex.protect registry_mu (fun () ->
+      Option.iter (fun (i, _) -> registry.(i) <- None) (registry_find cu 0))
+
+let registered () =
+  Mutex.protect registry_mu (fun () -> List.filter_map Fun.id (Array.to_list registry))
+
+(* The stats namespace: the digest of the whole unit, so rows of
+   structurally identical re-parses carry the same unit name.  Only
+   reporting computes it, once per context. *)
+let key_of u =
+  locked u (fun () ->
+      match u.u_key with
+      | Some k -> k
+      | None ->
+        let m = Marshal.to_string u.u_cu [ Marshal.No_sharing ] in
+        let k = "u" ^ Digest.to_hex (Digest.string m) in
+        u.u_key <- Some k;
+        k)
+
+(** The stats namespace ([r_unit]) of [cu]'s rows. *)
+let unit_key cu = key_of (context cu)
+
+(* The distinct sites of [u], by id (ids are unique within a unit). *)
+let sites u =
+  let all tbls =
+    List.concat_map (fun t -> Array.to_list (Atomic.get t)) (Array.to_list tbls)
+    |> List.map (fun (_, (_, s)) -> s)
+  in
+  List.sort_uniq
+    (fun (a : Stats.site) b -> compare a.sk_id b.sk_id)
+    (all u.u_bodies @ all u.u_subs)
+
+let counts (s : Stats.site) = (Atomic.get s.sk_runs, Atomic.get s.sk_bails)
+
+(** Rows of [u]'s sites that ran or bailed since the last
+    {!reset_stats}, sorted by id. *)
+let unit_rows u : Stats.row list =
+  match List.filter (fun s -> counts s <> (0, 0)) (sites u) with
+  | [] -> []
+  | live ->
+    let r_unit = key_of u in
+    locked u (fun () ->
+        List.map
+          (fun (s : Stats.site) ->
+            let r_runs, r_bails = counts s in
+            { Stats.r_unit; r_id = s.sk_id; r_label = s.sk_label;
+              r_reason = s.sk_reason; r_runs; r_bails })
+          live)
+
+(** Rows of every registered unit, sorted by unit then id. *)
+let stats () =
+  List.concat_map unit_rows (registered ())
+  |> List.stable_sort (fun (a : Stats.row) b -> compare a.r_unit b.r_unit)
+
+(** Zero every registered unit's run/bail counters. *)
+let reset_stats () =
+  List.concat_map sites (registered ())
+  |> List.iter (fun (s : Stats.site) -> Atomic.set s.sk_runs 0; Atomic.set s.sk_bails 0)
+
+(** Number of compilations [u] has run. *)
+let compiles u = Atomic.get u.u_compiles
+
+(** Entries of [u]'s tables: compiled loop bodies and compiled
+    subprograms (both calls modes), and the largest analysis table. *)
+let table_sizes u =
+  let n t = Array.length (Atomic.get t) in
+  ( n u.u_bodies.(0) + n u.u_bodies.(1),
+    n u.u_subs.(0) + n u.u_subs.(1),
+    max (n u.u_written) (max (n u.u_alloc) (n u.u_leaf)) )
+
 (** Compilation environment beyond the representative scope: what the
-    unit as a whole provides.  [e_unit] namespaces the program cache
-    and the stats sites; [e_subs] is the interpreter's subprogram
-    table (shared, read-only here); [e_calls] gates call compilation
-    so benchmarks can reproduce the PR 6 "mixed" path; and
-    [e_module_scope] peeks at already-initialized module scopes
-    (never forcing initialization) for the inliner's shadowing check. *)
+    unit as a whole provides.  [e_unit] owns the compiled programs and
+    stats sites; [e_subs] is the interpreter's subprogram table
+    (shared, read-only here); [e_calls] gates call compilation so
+    benchmarks can reproduce the PR 6 "mixed" path; and
+    [e_module_scope] peeks at already-initialized module scopes (never
+    forcing initialization) for the inliner's shadowing check. *)
 type env = {
-  e_unit : string;
+  e_unit : unit_ctx;
   e_subs : (string, Ast.subprogram * string option) Hashtbl.t;
   e_calls : bool;
   e_module_scope : string -> Storage.scope option;
@@ -402,164 +636,6 @@ let note_check ctx (slot : Storage.slot) name path v =
 let note_negative ctx name =
   if not (Hashtbl.mem ctx.negs name) then Hashtbl.replace ctx.negs name ()
 
-(* --- digests and global tables ------------------------------------------- *)
-
-(* One global mutex guards the digest memos, the program cache and the
-   stats table.  Compiles run outside it (double-checked insert); only
-   Hashtbl lookups and small Marshal digests run under it. *)
-let global_mutex = Mutex.create ()
-
-let locked f =
-  Mutex.lock global_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock global_mutex) f
-
-let digest_of x =
-  Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
-
-module Phys_stmts = Hashtbl.Make (struct
-  type t = Ast.stmt list
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-module Phys_sub = Hashtbl.Make (struct
-  type t = Ast.subprogram
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-module Phys_cu = Hashtbl.Make (struct
-  type t = Ast.compilation_unit
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-(* The parser builds each AST once, so memoizing digests by physical
-   identity makes the digest cost once-per-AST, not once-per-call. *)
-let body_digest_tbl : string Phys_stmts.t = Phys_stmts.create 64
-let sub_digest_tbl : string Phys_sub.t = Phys_sub.create 64
-let unit_key_tbl : string Phys_cu.t = Phys_cu.create 16
-
-let body_digest (body : Ast.stmt list) =
-  match locked (fun () -> Phys_stmts.find_opt body_digest_tbl body) with
-  | Some d -> d
-  | None ->
-    let d = digest_of body in
-    locked (fun () -> Phys_stmts.replace body_digest_tbl body d);
-    d
-
-let sub_digest (sp : Ast.subprogram) =
-  match locked (fun () -> Phys_sub.find_opt sub_digest_tbl sp) with
-  | Some d -> d
-  | None ->
-    let d = digest_of sp in
-    locked (fun () -> Phys_sub.replace sub_digest_tbl sp d);
-    d
-
-(** Stable cache/stats namespace for a compilation unit: the digest of
-    its whole AST, so structurally identical re-parses share it. *)
-let unit_key (cu : Ast.compilation_unit) =
-  match locked (fun () -> Phys_cu.find_opt unit_key_tbl cu) with
-  | Some k -> k
-  | None ->
-    let k = "u" ^ digest_of cu in
-    locked (fun () -> Phys_cu.replace unit_key_tbl cu k);
-    k
-
-(** {1 Bail / coverage statistics}
-
-    One site per compiled construct (loop body or subprogram body),
-    keyed by (unit, site id).  [sk_runs] counts bytecode executions,
-    [sk_bails] counts tree-walk fallbacks (compile bails and bind
-    refusals alike); [sk_reason] names the first construct that made
-    compilation bail, when it did. *)
-module Stats = struct
-  type site = {
-    sk_unit : string;
-    sk_id : string;
-    sk_label : string;
-    mutable sk_reason : string option;
-    sk_runs : int Atomic.t;
-    sk_bails : int Atomic.t;
-  }
-
-  (* A read-only copy of a site, for reporting. *)
-  type row = {
-    r_unit : string;
-    r_id : string;
-    r_label : string;
-    r_reason : string option;
-    r_runs : int;
-    r_bails : int;
-  }
-
-  let tbl : (string * string, site) Hashtbl.t = Hashtbl.create 64
-
-  let get ~unit_key ~id ~label : site =
-    locked (fun () ->
-        match Hashtbl.find_opt tbl (unit_key, id) with
-        | Some s -> s
-        | None ->
-          let s =
-            {
-              sk_unit = unit_key;
-              sk_id = id;
-              sk_label = label;
-              sk_reason = None;
-              sk_runs = Atomic.make 0;
-              sk_bails = Atomic.make 0;
-            }
-          in
-          Hashtbl.replace tbl (unit_key, id) s;
-          s)
-
-  let run s = Atomic.incr s.sk_runs
-  let bail s = Atomic.incr s.sk_bails
-
-  let set_reason s reason =
-    locked (fun () ->
-        match s.sk_reason with
-        | Some _ -> ()
-        | None -> s.sk_reason <- Some reason)
-
-  let snapshot () : row list =
-    let rows =
-      locked (fun () ->
-          Hashtbl.fold
-            (fun _ s acc ->
-              {
-                r_unit = s.sk_unit;
-                r_id = s.sk_id;
-                r_label = s.sk_label;
-                r_reason = s.sk_reason;
-                r_runs = Atomic.get s.sk_runs;
-                r_bails = Atomic.get s.sk_bails;
-              }
-              :: acc)
-            tbl [])
-    in
-    List.sort
-      (fun a b ->
-        match compare a.r_unit b.r_unit with
-        | 0 -> compare a.r_id b.r_id
-        | c -> c)
-      rows
-
-  let reset () = locked (fun () -> Hashtbl.reset tbl)
-
-  let purge_unit u =
-    locked (fun () ->
-        let doomed =
-          Hashtbl.fold
-            (fun k s acc -> if s.sk_unit = u then k :: acc else acc)
-            tbl []
-        in
-        List.iter (Hashtbl.remove tbl) doomed)
-end
-
 (* --- constant folding ---------------------------------------------------- *)
 
 (* Fold literal-only subtrees with the same Value operations the
@@ -660,102 +736,92 @@ let local_var_names (sp : Ast.subprogram) : (string, unit) Hashtbl.t =
    can rewrite (declared REAL over an aliased Int).  Conservative by
    construction: used to refuse compiled calls that would mutate a
    caller PARAMETER slot our constant folding relies on. *)
-let written_memo : (string, unit) Hashtbl.t Phys_sub.t = Phys_sub.create 32
-
-let written_dummies (sp : Ast.subprogram) : (string, unit) Hashtbl.t =
-  match locked (fun () -> Phys_sub.find_opt written_memo sp) with
-  | Some w -> w
-  | None ->
-    let dummies = sp.Ast.sub_args in
-    let w = Hashtbl.create 8 in
-    let note n = if List.mem n dummies then Hashtbl.replace w n () in
-    let vars = local_var_names sp in
-    List.iter
-      (function
-        | Ast.Var_decl { base; entities; _ }
-          when base = Ast.Real || base = Ast.Real8 ->
-          List.iter (fun e -> note e.Ast.ent_name) entities
-        | _ -> ())
-      sp.Ast.sub_decls;
-    let check_expr e =
-      Ast.fold_expr
-        (fun () e ->
-          match e with
-          | Ast.Desig ((h, hargs) :: _)
-            when (not (Hashtbl.mem vars h))
-                 && not
-                      (Hashtbl.mem Intrinsics.tbl (String.lowercase_ascii h))
-            ->
-            (* function-looking head: its whole-var arguments bind by
-               reference in the callee and may be written there *)
-            List.iter
-              (function Ast.Desig [ (n, []) ] -> note n | _ -> ())
-              hargs
-          | _ -> ())
-        () e
-    in
-    Ast.fold_stmts
-      (fun () s ->
-        (match s with
-        | Ast.Assign ((h, _) :: _, _) -> note h
-        | Ast.Do l -> note l.Ast.do_var
-        | Ast.Allocate allocs ->
-          List.iter
-            (fun (d, _) -> match d with (h, _) :: _ -> note h | [] -> ())
-            allocs
-        | Ast.Deallocate ds ->
-          List.iter (function (h, _) :: _ -> note h | [] -> ()) ds
-        | Ast.Call (_, args) ->
+let written_dummies u (sp : Ast.subprogram) : (string, unit) Hashtbl.t =
+  memo u u.u_written sp @@ fun () ->
+  let dummies = sp.Ast.sub_args in
+  let w = Hashtbl.create 8 in
+  let note n = if List.mem n dummies then Hashtbl.replace w n () in
+  let vars = local_var_names sp in
+  List.iter
+    (function
+      | Ast.Var_decl { base; entities; _ }
+        when base = Ast.Real || base = Ast.Real8 ->
+        List.iter (fun e -> note e.Ast.ent_name) entities
+      | _ -> ())
+    sp.Ast.sub_decls;
+  let check_expr e =
+    Ast.fold_expr
+      (fun () e ->
+        match e with
+        | Ast.Desig ((h, hargs) :: _)
+          when (not (Hashtbl.mem vars h))
+               && not
+                    (Hashtbl.mem Intrinsics.tbl (String.lowercase_ascii h))
+          ->
+          (* function-looking head: its whole-var arguments bind by
+             reference in the callee and may be written there *)
           List.iter
             (function Ast.Desig [ (n, []) ] -> note n | _ -> ())
-            args
-        | _ -> ());
-        List.iter check_expr (stmt_exprs s))
-      () sp.Ast.sub_body;
-    locked (fun () -> Phys_sub.replace written_memo sp w);
-    w
+            hargs
+        | _ -> ())
+      () e
+  in
+  Ast.fold_stmts
+    (fun () s ->
+      (match s with
+      | Ast.Assign ((h, _) :: _, _) -> note h
+      | Ast.Do l -> note l.Ast.do_var
+      | Ast.Allocate allocs ->
+        List.iter
+          (fun (d, _) -> match d with (h, _) :: _ -> note h | [] -> ())
+          allocs
+      | Ast.Deallocate ds ->
+        List.iter (function (h, _) :: _ -> note h | [] -> ()) ds
+      | Ast.Call (_, args) ->
+        List.iter
+          (function Ast.Desig [ (n, []) ] -> note n | _ -> ())
+          args
+      | _ -> ());
+      List.iter check_expr (stmt_exprs s))
+    () sp.Ast.sub_body;
+  w
 
 (* Transitively: can running [sp] allocate or deallocate?  A bound
    frame caches Farray buffers and bounds, so a compiled call site
    must never reach ALLOCATE/DEALLOCATE — the tree-walker re-resolves
    storage on every access and tolerates it, the VM does not.
    Recursion is treated as may-allocate (conservative). *)
-let alloc_memo : bool Phys_sub.t = Phys_sub.create 32
-
 let rec may_alloc env (seen : Ast.subprogram list) (sp : Ast.subprogram) : bool
     =
   if List.memq sp seen then true
   else
-    match locked (fun () -> Phys_sub.find_opt alloc_memo sp) with
-    | Some b -> b
-    | None ->
-      let seen = sp :: seen in
-      let found = ref false in
-      let vars = local_var_names sp in
-      let check_callee n =
-        match Hashtbl.find_opt env.e_subs (String.lowercase_ascii n) with
-        | Some (callee, _) -> if may_alloc env seen callee then found := true
-        | None -> ()
-      in
-      let check_expr e =
-        Ast.fold_expr
-          (fun () e ->
-            match e with
-            | Ast.Desig ((h, _) :: _) when not (Hashtbl.mem vars h) ->
-              check_callee h
-            | _ -> ())
-          () e
-      in
-      Ast.fold_stmts
-        (fun () s ->
-          (match s with
-          | Ast.Allocate _ | Ast.Deallocate _ -> found := true
-          | Ast.Call (n, _) -> check_callee n
-          | _ -> ());
-          List.iter check_expr (stmt_exprs s))
-        () sp.Ast.sub_body;
-      locked (fun () -> Phys_sub.replace alloc_memo sp !found);
-      !found
+    memo env.e_unit env.e_unit.u_alloc sp @@ fun () ->
+    let seen = sp :: seen in
+    let found = ref false in
+    let vars = local_var_names sp in
+    let check_callee n =
+      match Hashtbl.find_opt env.e_subs (String.lowercase_ascii n) with
+      | Some (callee, _) -> if may_alloc env seen callee then found := true
+      | None -> ()
+    in
+    let check_expr e =
+      Ast.fold_expr
+        (fun () e ->
+          match e with
+          | Ast.Desig ((h, _) :: _) when not (Hashtbl.mem vars h) ->
+            check_callee h
+          | _ -> ())
+        () e
+    in
+    Ast.fold_stmts
+      (fun () s ->
+        (match s with
+        | Ast.Allocate _ | Ast.Deallocate _ -> found := true
+        | Ast.Call (n, _) -> check_callee n
+        | _ -> ());
+        List.iter check_expr (stmt_exprs s))
+      () sp.Ast.sub_body;
+    !found
 
 (* --- leaf inlining plan -------------------------------------------------- *)
 
@@ -767,79 +833,72 @@ let inline_max_stmts = 8
    designator a single scalar part or an intrinsic call.  [lf_heads]
    are the intrinsic heads, which the per-site check verifies are not
    shadowed by the callee's module scope. *)
-type leaf_shape = { lf_heads : string list }
-
-let leaf_memo : leaf_shape option Phys_sub.t = Phys_sub.create 32
-
 let leaf_shape (sp : Ast.subprogram) : leaf_shape option =
-  match locked (fun () -> Phys_sub.find_opt leaf_memo sp) with
-  | Some r -> r
-  | None ->
-    let ok = ref true in
-    let nstmts = Ast.fold_stmts (fun n _ -> n + 1) 0 sp.Ast.sub_body in
-    if nstmts > inline_max_stmts then ok := false;
-    if List.mem sp.Ast.sub_name sp.Ast.sub_args then ok := false;
-    let locals = Hashtbl.create 8 in
-    let declared = Hashtbl.create 8 in
-    List.iter
-      (function
-        | Ast.Var_decl { base; attrs = []; entities }
-          when base = Ast.Integer || base = Ast.Real || base = Ast.Real8
-               || base = Ast.Logical ->
-          List.iter
-            (fun (e : Ast.entity) ->
-              if
-                e.Ast.ent_dims <> None
-                || e.Ast.ent_deferred <> None
-                || e.Ast.ent_init <> None
-                || Hashtbl.mem declared e.Ast.ent_name
-              then ok := false;
-              Hashtbl.replace declared e.Ast.ent_name ();
-              if not (List.mem e.Ast.ent_name sp.Ast.sub_args) then
-                Hashtbl.replace locals e.Ast.ent_name ())
-            entities
-        | Ast.Implicit_none | Ast.Decl_comment _ -> ()
-        | _ -> ok := false)
-      sp.Ast.sub_decls;
-    let known h =
-      List.mem h sp.Ast.sub_args
-      || Hashtbl.mem locals h
-      || (sp.Ast.sub_kind <> `Subroutine && h = sp.Ast.sub_name)
-    in
-    let intr_heads = ref [] in
-    let check_expr e =
-      Ast.fold_expr
-        (fun () e ->
-          match e with
-          | Ast.Implied_do _ | Ast.Section _ -> ok := false
-          | Ast.Desig [ (h, args) ] ->
-            if known h then begin
-              if args <> [] then ok := false
-            end
-            else if Hashtbl.mem Intrinsics.tbl (String.lowercase_ascii h)
-            then intr_heads := h :: !intr_heads
-            else ok := false
-          | Ast.Desig _ -> ok := false
-          | _ -> ())
-        () e
-    in
-    Ast.fold_stmts
-      (fun () s ->
-        match s with
-        | Ast.Assign (d, e) ->
-          (match d with
-          | [ (h, []) ] when known h -> ()
-          | _ -> ok := false);
-          check_expr e
-        | Ast.If_arith (c, _) -> check_expr c
-        | Ast.If_block (branches, _) ->
-          List.iter (fun (c, _) -> check_expr c) branches
-        | Ast.Return | Ast.Continue | Ast.Comment _ -> ()
-        | _ -> ok := false)
-      () sp.Ast.sub_body;
-    let r = if !ok then Some { lf_heads = !intr_heads } else None in
-    locked (fun () -> Phys_sub.replace leaf_memo sp r);
-    r
+  let ok = ref true in
+  let nstmts = Ast.fold_stmts (fun n _ -> n + 1) 0 sp.Ast.sub_body in
+  if nstmts > inline_max_stmts then ok := false;
+  if List.mem sp.Ast.sub_name sp.Ast.sub_args then ok := false;
+  let locals = Hashtbl.create 8 in
+  let declared = Hashtbl.create 8 in
+  List.iter
+    (function
+      | Ast.Var_decl { base; attrs = []; entities }
+        when base = Ast.Integer || base = Ast.Real || base = Ast.Real8
+             || base = Ast.Logical ->
+        List.iter
+          (fun (e : Ast.entity) ->
+            if
+              e.Ast.ent_dims <> None
+              || e.Ast.ent_deferred <> None
+              || e.Ast.ent_init <> None
+              || Hashtbl.mem declared e.Ast.ent_name
+            then ok := false;
+            Hashtbl.replace declared e.Ast.ent_name ();
+            if not (List.mem e.Ast.ent_name sp.Ast.sub_args) then
+              Hashtbl.replace locals e.Ast.ent_name ())
+          entities
+      | Ast.Implicit_none | Ast.Decl_comment _ -> ()
+      | _ -> ok := false)
+    sp.Ast.sub_decls;
+  let known h =
+    List.mem h sp.Ast.sub_args
+    || Hashtbl.mem locals h
+    || (sp.Ast.sub_kind <> `Subroutine && h = sp.Ast.sub_name)
+  in
+  let intr_heads = ref [] in
+  let check_expr e =
+    Ast.fold_expr
+      (fun () e ->
+        match e with
+        | Ast.Implied_do _ | Ast.Section _ -> ok := false
+        | Ast.Desig [ (h, args) ] ->
+          if known h then begin
+            if args <> [] then ok := false
+          end
+          else if Hashtbl.mem Intrinsics.tbl (String.lowercase_ascii h)
+          then intr_heads := h :: !intr_heads
+          else ok := false
+        | Ast.Desig _ -> ok := false
+        | _ -> ())
+      () e
+  in
+  Ast.fold_stmts
+    (fun () s ->
+      match s with
+      | Ast.Assign (d, e) ->
+        (match d with
+        | [ (h, []) ] when known h -> ()
+        | _ -> ok := false);
+        check_expr e
+      | Ast.If_arith (c, _) -> check_expr c
+      | Ast.If_block (branches, _) ->
+        List.iter (fun (c, _) -> check_expr c) branches
+      | Ast.Return | Ast.Continue | Ast.Comment _ -> ()
+      | _ -> ok := false)
+    () sp.Ast.sub_body;
+  if !ok then Some { lf_heads = !intr_heads } else None
+
+let unit_leaf u sp = memo u u.u_leaf sp (fun () -> leaf_shape sp)
 
 (* Inside the callee, an intrinsic head resolves only after the scope
    chain misses; a module variable of the same name would win.  The
@@ -1044,7 +1103,7 @@ and compile_user_call ctx sp mod_name name actuals ~is_fn : int =
 and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
   if ctx.inline <> None then bail "inline-shape";
   if may_alloc ctx.env [] sp then bail "call-allocates";
-  let written = written_dummies sp in
+  let written = written_dummies ctx.env.e_unit sp in
   let specs =
     List.map2
       (fun dummy a ->
@@ -1111,7 +1170,7 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
 and compile_inline_call ctx sp mod_name actuals : int option =
   if ctx.inline <> None then None (* leaves contain no calls *)
   else
-    match leaf_shape sp with
+    match unit_leaf ctx.env.e_unit sp with
     | None -> None
     | Some shape ->
       if inline_shadowed ctx.env mod_name shape then None
@@ -1131,7 +1190,7 @@ and compile_inline_call ctx sp mod_name actuals : int option =
         in
         if List.exists (fun s -> s = None) slots then None
         else begin
-          let written = written_dummies sp in
+          let written = written_dummies ctx.env.e_unit sp in
           let frame = { imap = Hashtbl.create 8; iret = [] } in
           List.iter2
             (fun dummy s ->
@@ -2011,88 +2070,27 @@ let compile_raw env ~scope ~in_sub (body : Ast.stmt list) :
   | () -> Ok (finish ctx)
   | exception Bail reason -> Error reason
 
-(* Program cache: structural digest key, namespaced by unit and the
-   call-compilation mode, FIFO-bounded.  Compiles run outside the
-   lock; a racing domain's first insert wins. *)
-let cache : (string, (program, string) result) Hashtbl.t = Hashtbl.create 64
-let cache_order : string Queue.t = Queue.create ()
-let cache_cap = 512
-
-let cache_key env kind digest =
-  env.e_unit ^ (if env.e_calls then "|c|" else "|n|") ^ kind ^ digest
-
-let cached_compile key (compile : unit -> (program, string) result) :
-    (program, string) result =
-  match locked (fun () -> Hashtbl.find_opt cache key) with
-  | Some r -> r
-  | None -> (
-    let r = compile () in
-    locked (fun () ->
-        match Hashtbl.find_opt cache key with
-        | Some prev -> prev
-        | None ->
-          Hashtbl.replace cache key r;
-          Queue.push key cache_order;
-          while Queue.length cache_order > cache_cap do
-            let doomed = Queue.pop cache_order in
-            Hashtbl.remove cache doomed
-          done;
-          r))
-
-(** Compile a loop body (the [what] string labels the stats site).
-    Returns the program (None = bail, recorded as the site's reason)
-    and the site itself so the caller can count runs and bind-time
-    bails. *)
-let compile_body env ~scope ~what (body : Ast.stmt list) :
-    program option * Stats.site =
-  let dg = body_digest body in
-  let site =
-    Stats.get ~unit_key:env.e_unit
-      ~id:(what ^ "@" ^ String.sub dg 0 8)
-      ~label:what
-  in
-  let r =
-    cached_compile (cache_key env "b" dg) (fun () ->
-        compile_raw env ~scope ~in_sub:false body)
-  in
-  match r with
-  | Ok p -> (Some p, site)
-  | Error reason ->
-    Stats.set_reason site reason;
-    (None, site)
+(** Compile a loop body (the [what] string labels the stats site), once
+    per unit and calls mode.  Returns the cached result (the program,
+    or the construct that made compilation bail) and the construct's
+    site so the caller can count runs and bind-time bails; a hit is one
+    unit-local scan. *)
+let compile_body env ~scope ~what (body : Ast.stmt list) : compiled =
+  let u = env.e_unit and m = Bool.to_int env.e_calls in
+  try ptbl_get u.u_bodies.(m) body
+  with Not_found ->
+    insert_compiled u u.u_bodies m body ~label:what ~numbered:true
+      (compile_raw env ~scope ~in_sub:false body)
 
 (** Compile a whole subprogram body against a representative callee
     scope (the first call's).  Later calls bind against their own
     scopes; kind or folded-constant mismatches fail the bind and
     tree-walk that call only. *)
-let compile_sub env ~scope (sp : Ast.subprogram) : program option * Stats.site
-    =
-  let dg = sub_digest sp in
-  let label = "sub " ^ String.lowercase_ascii sp.Ast.sub_name in
-  let site = Stats.get ~unit_key:env.e_unit ~id:label ~label in
-  let r =
-    cached_compile (cache_key env "s" dg) (fun () ->
-        compile_raw env ~scope ~in_sub:true sp.Ast.sub_body)
-  in
-  match r with
-  | Ok p -> (Some p, site)
-  | Error reason ->
-    Stats.set_reason site reason;
-    (None, site)
-
-(** Drop every cached program and stats site belonging to [unit_key]
-    (the listener calls this when it evicts a script from its own
-    cache, so long-lived serve processes don't accumulate programs for
-    dead scripts). *)
-let purge_unit u =
-  locked (fun () ->
-      let doomed =
-        Hashtbl.fold
-          (fun k _ acc ->
-            if String.length k > String.length u && String.sub k 0 (String.length u) = u
-            then k :: acc
-            else acc)
-          cache []
-      in
-      List.iter (Hashtbl.remove cache) doomed);
-  Stats.purge_unit u
+let compile_sub env ~scope (sp : Ast.subprogram) : compiled =
+  let u = env.e_unit and m = Bool.to_int env.e_calls in
+  try ptbl_get u.u_subs.(m) sp
+  with Not_found ->
+    insert_compiled u u.u_subs m sp
+      ~label:("sub " ^ String.lowercase_ascii sp.Ast.sub_name)
+      ~numbered:false
+      (compile_raw env ~scope ~in_sub:true sp.Ast.sub_body)

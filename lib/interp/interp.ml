@@ -68,11 +68,12 @@ type state = {
   mutable use_bytecode : bool;
       (** lower eligible loop bodies to bytecode (default); [false]
           forces the tree-walker everywhere ([--no-bytecode]) *)
-  mutable bytecode_calls : bool;
-      (** compile CALLs and user-function references into [Icall] /
-          inline expansions (default); [false] reproduces the PR 6
-          "mixed" path where every call boundary bails to the
-          tree-walker (benchmark baseline, [--no-bytecode-calls]) *)
+  mutable benv : Bytecode.env;
+      (** the compile-time environment handed to {!Bytecode}: the
+          unit's context (resolved once, in {!make_state}), the
+          subprogram table for call compilation, a peek at module
+          scopes for the inliner's shadowing check, and whether calls
+          compile ([set_bytecode_calls]) *)
 }
 
 let lookup = Storage.lookup
@@ -109,10 +110,11 @@ let make_state ?(printer = print_string) (cu : Ast.compilation_unit) =
         Hashtbl.replace subs (String.lowercase_ascii sp.Ast.sub_name) (sp, None)
       | Ast.Main _ -> ())
     cu;
+  let module_scopes = Hashtbl.create 8 in
   {
     cu;
     subs;
-    module_scopes = Hashtbl.create 8;
+    module_scopes;
     commons = Hashtbl.create 8;
     type_defs;
     saved = Hashtbl.create 16;
@@ -121,26 +123,23 @@ let make_state ?(printer = print_string) (cu : Ast.compilation_unit) =
     default_threads = Omp.num_threads ();
     default_sched = Sched.default;
     use_bytecode = true;
-    bytecode_calls = true;
+    benv =
+      {
+        Bytecode.e_unit = Bytecode.context cu;
+        e_subs = subs;
+        e_calls = true;
+        e_module_scope = Hashtbl.find_opt module_scopes;
+      };
   }
 
 let set_threads st n = st.default_threads <- max 1 n
 let set_schedule st s = st.default_sched <- s
 let set_bytecode st b = st.use_bytecode <- b
-let set_bytecode_calls st b = st.bytecode_calls <- b
 
-(** The compile-time environment handed to {!Bytecode}: namespaces the
-    program cache and stats by compilation unit, exposes the
-    subprogram table for call compilation, and lets the inliner peek
-    at module scopes for shadowing checks.  Rebuilt per use (cheap:
-    one record; [Bytecode.unit_key] is memoized on the AST). *)
-let benv st : Bytecode.env =
-  {
-    Bytecode.e_unit = Bytecode.unit_key st.cu;
-    e_subs = st.subs;
-    e_calls = st.bytecode_calls;
-    e_module_scope = Hashtbl.find_opt st.module_scopes;
-  }
+(* [false] reproduces the PR 6 "mixed" path where every call boundary
+   bails to the tree-walker (benchmark baseline). *)
+let set_bytecode_calls st b = st.benv <- { st.benv with e_calls = b }
+
 let allocations st = Atomic.get st.alloc_count
 let reset_allocations st = Atomic.set st.alloc_count 0
 
@@ -530,15 +529,15 @@ and call_with_bindings st (sp : Ast.subprogram) mod_name name
     | Some { entry = Scalar v; _ } -> Some v
     | _ -> error "function %s did not set its result" name)
 
-(* Execute a subprogram body: compiled once per subprogram (digest
-   cached) when bytecode is on, re-bound against each call's scope;
-   any compile bail or bind mismatch tree-walks this call only. *)
+(* Execute a subprogram body: compiled once per subprogram (cached in
+   the unit's context) when bytecode is on, re-bound against each
+   call's scope; any compile bail or bind mismatch tree-walks this call
+   only. *)
 and run_sub_body st (sp : Ast.subprogram) scope =
   if not st.use_bytecode then exec_stmts st scope sp.Ast.sub_body
   else begin
-    let env = benv st in
-    match Bytecode.compile_sub env ~scope sp with
-    | Some p, site -> (
+    match Bytecode.compile_sub st.benv ~scope sp with
+    | Ok p, site -> (
       match
         Vm.bind p scope ~printer:st.printer ~env:(callenv st) ~dovars:[]
       with
@@ -548,7 +547,7 @@ and run_sub_body st (sp : Ast.subprogram) scope =
       | None ->
         Bytecode.Stats.bail site;
         exec_stmts st scope sp.Ast.sub_body)
-    | None, site ->
+    | Error _, site ->
       Bytecode.Stats.bail site;
       exec_stmts st scope sp.Ast.sub_body
   end
@@ -886,14 +885,14 @@ and exec_do_serial st scope (l : Ast.do_loop) =
         s
       end
   in
-  (* Hot path: lower the body to bytecode once (cached on its
-     structural digest) and bind it to this scope; any unsupported
-     construct or binding mismatch falls back to the tree-walk below,
-     counted against the loop's stats site. *)
+  (* Hot path: lower the body to bytecode once (cached in the unit's
+     context) and bind it to this scope; any unsupported construct or
+     binding mismatch falls back to the tree-walk below, counted
+     against the loop's stats site. *)
   let compiled =
     if st.use_bytecode then begin
-      match Bytecode.compile_body (benv st) ~scope ~what:"do" l.Ast.do_body with
-      | Some p, site -> (
+      match Bytecode.compile_body st.benv ~scope ~what:"do" l.Ast.do_body with
+      | Ok p, site -> (
         match
           Vm.bind p scope ~printer:st.printer ~env:(callenv st)
             ~dovars:[ slot ]
@@ -904,7 +903,7 @@ and exec_do_serial st scope (l : Ast.do_loop) =
         | None ->
           Bytecode.Stats.bail site;
           None)
-      | None, site ->
+      | Error _, site ->
         Bytecode.Stats.bail site;
         None
     end
@@ -1067,17 +1066,14 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
     let tscope = clone_scope_for_thread scope ~fresh in
     body_of_thread tscope clo chi
   in
-  (* Compile the chunk body once per loop (cached on its digest); each
+  (* Compile the chunk body once per unit (cached in its context); each
      worker binds against its private scope clone and falls back per
      chunk when a binding does not resolve.  Stats count chunk
      executions: runs are chunks that ran compiled, bails are chunks
      that tree-walked. *)
   let compile_chunk_body body_stmts =
     if st.use_bytecode then
-      let p, site =
-        Bytecode.compile_body (benv st) ~scope ~what:"omp-do" body_stmts
-      in
-      Some (p, site)
+      Some (Bytecode.compile_body st.benv ~scope ~what:"omp-do" body_stmts)
     else None
   in
   (match collapse2 with
@@ -1087,7 +1083,7 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
       let slot = Hashtbl.find tscope.vars l.Ast.do_var in
       let fr =
         match prog with
-        | Some (Some p, site) -> (
+        | Some (Ok p, site) -> (
           match
             Vm.bind p tscope ~printer:st.printer ~env:(callenv st)
               ~dovars:[ slot ]
@@ -1098,7 +1094,7 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
           | None ->
             Bytecode.Stats.bail site;
             None)
-        | Some (None, site) ->
+        | Some (Error _, site) ->
           Bytecode.Stats.bail site;
           None
         | None -> None
@@ -1126,7 +1122,7 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
         let islot = Hashtbl.find tscope.vars inner.Ast.do_var in
         let fr =
           match prog with
-          | Some (Some p, site) -> (
+          | Some (Ok p, site) -> (
             match
               Vm.bind p tscope ~printer:st.printer ~env:(callenv st)
                 ~dovars:[ oslot; islot ]
@@ -1137,7 +1133,7 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
             | None ->
               Bytecode.Stats.bail site;
               None)
-          | Some (None, site) ->
+          | Some (Error _, site) ->
             Bytecode.Stats.bail site;
             None
           | None -> None
@@ -1276,14 +1272,15 @@ type bytecode_row = Bytecode.Stats.row = {
   r_bails : int;  (** executions that fell back to the tree-walker *)
 }
 
-let bytecode_stats () = Bytecode.Stats.snapshot ()
+let bytecode_stats () = Bytecode.stats ()
 
 (** Only the rows belonging to [st]'s compilation unit. *)
-let bytecode_stats_for st =
-  let u = Bytecode.unit_key st.cu in
-  List.filter (fun r -> r.r_unit = u) (Bytecode.Stats.snapshot ())
+let bytecode_stats_for st = Bytecode.unit_rows st.benv.e_unit
 
-let reset_bytecode_stats () = Bytecode.Stats.reset ()
+let reset_bytecode_stats () = Bytecode.reset_stats ()
+
+(** The bytecode context [st] resolved for its unit. *)
+let bytecode_unit st = st.benv.Bytecode.e_unit
 
 (** Read an array-valued field of a scalar TYPE variable in a module
     (e.g. SARB's [fo%fuir]). *)

@@ -158,11 +158,9 @@ exception Pool_error of string
     e.g. ["deadline of 0.05s exceeded"]. *)
 exception Cancelled of string
 
-(* Monotonic-enough clock for deadlines: OCaml's stdlib exposes no
-   CLOCK_MONOTONIC without an external package, so the watchdog uses
-   gettimeofday; deadlines are short (ms..s) and a wall-clock step
-   merely fires a timeout early or late, never corrupts results. *)
-let now_s = Unix.gettimeofday
+(* Deadlines run on the monotonic clock, so a wall-clock step never
+   fires a timeout early or late. *)
+let now_s = Clock.now_s
 
 type token = {
   tk_cancelled : bool Atomic.t;

@@ -83,7 +83,7 @@ let max_pool_size = 64
 
 (* --- stats -------------------------------------------------------------- *)
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+let now_ns = Clock.now_ns
 
 (** Region wall-time histogram buckets: [< 1us, < 10us, ..., < 1s, >= 1s]. *)
 let hist_buckets = 8

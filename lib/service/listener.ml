@@ -300,17 +300,17 @@ let outcome_response ~seq (oc : Serve.outcome) =
     (Fault.json_escape oc.Serve.oc_output)
     (oc.Serve.oc_time_s *. 1e3)
 
-(* Bytecode coverage over every script this process has served: total
+(* Bytecode coverage over every unit still registered: total
    compiled-vs-treewalked executions plus the worst bailing sites, so
    a coverage regression shows up in monitoring rather than as a
    silent slowdown. *)
 let bytecode_json () =
-  let rows = Glaf_interp.Bytecode.Stats.snapshot () in
-  let runs = List.fold_left (fun a (r : Glaf_interp.Bytecode.Stats.row) -> a + r.r_runs) 0 rows in
-  let bails = List.fold_left (fun a (r : Glaf_interp.Bytecode.Stats.row) -> a + r.r_bails) 0 rows in
+  let rows = Glaf_interp.Interp.bytecode_stats () in
+  let runs = List.fold_left (fun a (r : Glaf_interp.Interp.bytecode_row) -> a + r.r_runs) 0 rows in
+  let bails = List.fold_left (fun a (r : Glaf_interp.Interp.bytecode_row) -> a + r.r_bails) 0 rows in
   let bailing =
-    List.filter (fun (r : Glaf_interp.Bytecode.Stats.row) -> r.r_bails > 0) rows
-    |> List.sort (fun (a : Glaf_interp.Bytecode.Stats.row) b ->
+    List.filter (fun (r : Glaf_interp.Interp.bytecode_row) -> r.r_bails > 0) rows
+    |> List.sort (fun (a : Glaf_interp.Interp.bytecode_row) b ->
            compare b.r_bails a.r_bails)
   in
   let top = List.filteri (fun i _ -> i < 8) bailing in
@@ -319,7 +319,7 @@ let bytecode_json () =
     (List.length rows) runs bails
     (String.concat ","
        (List.map
-          (fun (r : Glaf_interp.Bytecode.Stats.row) ->
+          (fun (r : Glaf_interp.Interp.bytecode_row) ->
             Printf.sprintf "{\"label\":\"%s\",\"bails\":%d,\"reason\":%s}"
               (Fault.json_escape r.r_label) r.r_bails
               (match r.r_reason with
@@ -613,7 +613,7 @@ let executor t =
           Atomic.incr t.rejected;
           fault_response ~seq:job.wj_seq fault
         | Ok compiled -> (
-          let t0 = Unix.gettimeofday () in
+          let t0 = Clock.now_ns () in
           let result =
             Serve.run_call ?threads:t.cfg.lc_threads ?sched:t.cfg.lc_sched
               ?deadline_s:t.cfg.lc_deadline_s ~bytecode:t.cfg.lc_bytecode
@@ -621,7 +621,7 @@ let executor t =
           in
           (* faulted calls count too: a deadline-bound tail is exactly
              what the p99 is there to expose *)
-          record_latency t ((Unix.gettimeofday () -. t0) *. 1e3);
+          record_latency t (Clock.ms_since t0);
           match result with
           | Ok oc ->
             Atomic.incr t.ok;
@@ -876,12 +876,12 @@ module Client = struct
 
   (** Next response line, or [None] on EOF / timeout. *)
   let recv_line ?(timeout_s = 30.0) c =
-    let deadline = Unix.gettimeofday () +. timeout_s in
+    let deadline = Clock.now_s () +. timeout_s in
     let rec go () =
       match take_line c with
       | Some _ as r -> r
       | None ->
-        let left = deadline -. Unix.gettimeofday () in
+        let left = deadline -. Clock.now_s () in
         if left <= 0.0 then None
         else
           (match Unix.select [ c.fd ] [] [] (Float.min 0.1 left) with

@@ -213,9 +213,9 @@ let run_call_once ?threads ?sched ?deadline_s ?bytecode compiled call =
         (match bytecode with
         | Some b -> Glaf_interp.Interp.set_bytecode st b
         | None -> ());
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now_s () in
         let v = Glaf_interp.Interp.call st call.cl_name call.cl_args in
-        let t1 = Unix.gettimeofday () in
+        let t1 = Clock.now_s () in
         {
           oc_call = call;
           oc_value = v;
@@ -405,7 +405,7 @@ let run_calls_concurrent ~concurrency ?threads ?sched ?deadline_s ?bytecode
     | _ -> ());
     emit_in_order ()
   in
-  let now () = Unix.gettimeofday () in
+  let now = Clock.now_s in
   let rec slot_loop () =
     Mutex.lock mu;
     (* promote delayed jobs whose backoff has elapsed *)

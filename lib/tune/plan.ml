@@ -429,11 +429,9 @@ let of_json (s : string) : (t, string) result =
 
 (* --- files --------------------------------------------------------------- *)
 
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json t))
+(** Write the plan to [path], replacing any previous file whole: a
+    crash mid-write leaves the old plan, never a torn one. *)
+let save t path = Glaf_runtime.Atomic_file.write path (to_json t)
 
 (** Read a plan file.  Every failure mode — unreadable file, truncated
     or corrupt JSON, unknown version, malformed entry — comes back as

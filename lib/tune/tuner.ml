@@ -23,6 +23,7 @@
 
 open Glaf_fortran
 module Verify = Glaf_lift.Verify
+module Clock = Glaf_runtime.Clock
 module Fault = Glaf_runtime.Fault
 module Interp = Glaf_interp.Interp
 module Value = Glaf_runtime.Value
@@ -182,9 +183,9 @@ let measure ?deadline_s ~threads ~repeats ~setup ~calls cu :
     Interp.set_bytecode st true;
     Interp.set_threads st threads;
     List.iter (fun (f, a) -> ignore (Interp.call st f a)) setup;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_ns () in
     List.iter (fun (f, a) -> ignore (Interp.call st f a)) calls;
-    (Unix.gettimeofday () -. t0) *. 1000.
+    Clock.ms_since t0
   in
   try
     let tk = Fault.make_token ?deadline_s () in
@@ -266,6 +267,9 @@ let tune_site ~threads ~gate_threads ~repeats ~deadline_s ~cfg ~setup ~calls
       (fun v ->
         let cu_v = rewrite_site cu site v in
         let model_ms = model_ms_of ~cfg ~calls cu_v in
+        (* the variant is dead after its trial: drop its bytecode *)
+        Fun.protect ~finally:(fun () -> Glaf_interp.Bytecode.release cu_v)
+        @@ fun () ->
         match
           let* () =
             List.fold_left

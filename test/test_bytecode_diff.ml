@@ -694,6 +694,157 @@ let test_fun3d_diff () =
       ("fun3d glaf best", Fun3d.Glaf Fun3d_glaf.best_options);
     ]
 
+(* --- per-unit contexts ----------------------------------------------------- *)
+
+(* Entries of the tables that hold compiled programs. *)
+let programs u =
+  let bodies, subs, _ = Bytecode.table_sizes u in
+  bodies + subs
+
+(* Two fresh states on one unit resolve the same context: the second
+   runs the programs the first compiled, compiling nothing. *)
+let test_states_share_programs () =
+  let cu = Parser.parse_string calls_src in
+  let run () =
+    let st = Interp.make_state ~printer:ignore cu in
+    let v = Interp.call st "drive_calls" [ Ast.Int_lit 40; Ast.Int_lit 1 ] in
+    (Interp.bytecode_unit st, v)
+  in
+  let u1, v1 = run () in
+  let compiled = Bytecode.compiles u1 in
+  check_bool "first state compiled something" true (compiled > 0);
+  check_int "one compile per cached program" (programs u1) compiled;
+  let u2, v2 = run () in
+  check_bool "same context" true (u1 == u2);
+  check_int "second state compiled nothing" compiled (Bytecode.compiles u2);
+  check_bool "same result" true (value_opt_eq v1 v2)
+
+let twice_src =
+  {|
+real*8 function twice(x)
+  implicit none
+  real*8 :: x
+  twice = x * 2.0d0
+end function twice
+
+real*8 function sum_twice(n)
+  implicit none
+  integer :: n, i
+  real*8 :: s, t
+  s = 0.0d0
+  do i = 1, n
+    t = i
+    s = s + twice(t)
+  end do
+  sum_twice = s
+end function sum_twice
+|}
+
+(* Runs and bails of [sum_twice]'s one site after a call with calls
+   compiled or not. *)
+let run_twice cu ~calls =
+  let st = Interp.make_state ~printer:ignore cu in
+  Interp.set_bytecode_calls st calls;
+  let v = Interp.call st "sum_twice" [ Ast.Int_lit 50 ] in
+  match
+    List.filter
+      (fun r -> r.Interp.r_label = "sub sum_twice")
+      (Interp.bytecode_stats_for st)
+  with
+  | [ r ] -> (v, r.Interp.r_runs, r.Interp.r_bails)
+  | rows -> Alcotest.failf "expected one sum_twice row, got %d" (List.length rows)
+
+(* A program compiled with calls never runs on a state that has them
+   off, nor the reverse: each mode has its own table, one shared site. *)
+let test_calls_modes_isolated () =
+  let reference =
+    (run_engine ~bytecode:false (Parser.parse_string twice_src) "sum_twice"
+       [ Ast.Int_lit 50 ])
+      .r_value
+  in
+  let same what v =
+    check_bool (what ^ " matches the tree-walker") true
+      (match reference with Some r -> value_opt_eq v r | None -> false)
+  in
+  (* calls first, then without *)
+  let cu = Parser.parse_string twice_src in
+  let v, runs, bails = run_twice cu ~calls:true in
+  same "calls on" v;
+  check_int "calls on: ran compiled" 1 runs;
+  check_int "calls on: no bail" 0 bails;
+  let v, runs, bails = run_twice cu ~calls:false in
+  same "calls off after on" v;
+  check_int "calls off: no compiled run added" 1 runs;
+  check_int "calls off: bailed" 1 bails;
+  (* without calls first, then with *)
+  let cu = Parser.parse_string twice_src in
+  let v, runs, bails = run_twice cu ~calls:false in
+  same "calls off" v;
+  check_int "calls off first: bailed" 1 bails;
+  check_int "calls off first: no run" 0 runs;
+  let v, runs, bails = run_twice cu ~calls:true in
+  same "calls on after off" v;
+  check_int "calls on after off: ran compiled" 1 runs;
+  check_int "calls on after off: no bail added" 1 bails
+
+(* Two units that differ in one literal inside a loop body (the shape
+   of the benchmark's served variants) each get their own programs. *)
+let test_literal_variants () =
+  let text = read_file (scripts ^ "/quad_sweep.gpi") in
+  let variant lit =
+    let needle = "acc + 4.0 /" in
+    let i =
+      let rec find i =
+        if String.sub text i (String.length needle) = needle then i
+        else find (i + 1)
+      in
+      find 0
+    in
+    Serve.compile
+      (String.sub text 0 i ^ "acc + " ^ lit ^ " /"
+      ^ String.sub text (i + String.length needle)
+          (String.length text - i - String.length needle))
+  in
+  let call = Serve.parse_call 1 "pi_mid(200)" in
+  let value bytecode compiled =
+    match Serve.run_call ~threads:1 ~bytecode compiled call with
+    | Ok oc -> oc.Serve.oc_value
+    | Error f -> Alcotest.fail (Fault.to_string f)
+  in
+  let a = variant "4.0" and b = variant "5.0" in
+  (* interleaved, so each variant runs after the other compiled *)
+  let va = value true a and vb = value true b in
+  let va' = value true a and vb' = value true b in
+  check_bool "variants differ" false (value_opt_eq va vb);
+  check_bool "4.0 matches --no-bytecode" true (value_opt_eq va (value false a));
+  check_bool "5.0 matches --no-bytecode" true (value_opt_eq vb (value false b));
+  check_bool "4.0 stable" true (value_opt_eq va va');
+  check_bool "5.0 stable" true (value_opt_eq vb vb')
+
+(* [Bytecode.unit_key] names the unit's rows; a reset zeroes them.
+   Re-parses of one source share the key, so the count starts from a
+   reset that silences the other tests' parses of [calls_src]. *)
+let test_stats_namespace () =
+  Interp.reset_bytecode_stats ();
+  let cu = Parser.parse_string calls_src in
+  let st = Interp.make_state ~printer:ignore cu in
+  ignore (Interp.call st "drive_calls" [ Ast.Int_lit 40; Ast.Int_lit 1 ]);
+  let key = Bytecode.unit_key cu in
+  let mine () =
+    List.filter (fun r -> r.Interp.r_unit = key) (Interp.bytecode_stats ())
+  in
+  let rows = mine () in
+  check_bool "rows under the unit key" true (rows <> []);
+  check_int "same rows as the state's own" (List.length rows)
+    (List.length (Interp.bytecode_stats_for st));
+  Interp.reset_bytecode_stats ();
+  check_int "reset zeroes every row" 0
+    (List.fold_left (fun a r -> a + r.Interp.r_runs + r.Interp.r_bails) 0 (mine ()));
+  ignore (Interp.call st "drive_calls" [ Ast.Int_lit 40; Ast.Int_lit 1 ]);
+  check_bool "counting again after reset" true
+    (List.map (fun r -> (r.Interp.r_id, r.Interp.r_runs, r.Interp.r_bails)) (mine ())
+    = List.map (fun r -> (r.Interp.r_id, r.Interp.r_runs, r.Interp.r_bails)) rows)
+
 let suites =
   [
     ( "bytecode.diff",
@@ -714,5 +865,15 @@ let suites =
         Alcotest.test_case "serve inject" `Quick test_serve_inject_diff;
         Alcotest.test_case "sarb workload" `Quick test_sarb_diff;
         Alcotest.test_case "fun3d workload" `Quick test_fun3d_diff;
+      ] );
+    ( "bytecode.units",
+      [
+        Alcotest.test_case "fresh states share programs" `Quick
+          test_states_share_programs;
+        Alcotest.test_case "calls modes isolated" `Quick
+          test_calls_modes_isolated;
+        Alcotest.test_case "literal variants" `Quick test_literal_variants;
+        Alcotest.test_case "stats namespace and reset" `Quick
+          test_stats_namespace;
       ] );
   ]

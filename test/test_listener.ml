@@ -567,6 +567,94 @@ let test_progcache_does_not_cache_failures () =
   check_int "failures keep the cache empty" 0 st.Progcache.cs_size;
   check_int "both lookups missed" 2 st.Progcache.cs_misses
 
+(* --- bytecode contexts under compile churn ---------------------------------- *)
+
+module Bytecode = Glaf_interp.Bytecode
+module Ast = Glaf_fortran.Ast
+
+(* DO loops and subprograms of [cu]: a unit-local table holds at most
+   one entry per construct it is keyed by. *)
+let loops_and_subs cu =
+  let subs = Ast.all_subprograms cu in
+  let loops =
+    List.fold_left
+      (fun n sp ->
+        Ast.fold_stmts
+          (fun n s -> match s with Ast.Do _ -> n + 1 | _ -> n)
+          n sp.Ast.sub_body)
+      0 subs
+  in
+  (loops, List.length subs)
+
+(* A long-lived server's compile churn: 1,000 distinct variants through
+   a 4-entry cache, a resident hot script served between them.  Counts
+   only: evicted units leave the bytecode registry, no unit's tables
+   outgrow the unit, and the hot unit compiles each construct once. *)
+let test_contexts_bounded_under_churn () =
+  let text =
+    In_channel.with_open_bin "../examples/scripts/quad_sweep.gpi"
+      In_channel.input_all
+  in
+  let needle = "set acc = acc + 4.0 /" in
+  let at =
+    let rec find i =
+      if String.sub text i (String.length needle) = needle then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let variant k =
+    String.sub text 0 at
+    ^ Printf.sprintf "set acc = acc + %d.0 /" (5 + k)
+    ^ String.sub text (at + String.length needle)
+        (String.length text - at - String.length needle)
+  in
+  let capacity = 4 in
+  let c = Progcache.create ~capacity () in
+  let call = Serve.parse_call 1 "pi_mid(64)" in
+  let serve script =
+    match Progcache.find_or_compile c script with
+    | Ok compiled, _ -> (
+      match Serve.run_call ~threads:1 compiled call with
+      | Ok _ -> compiled
+      | Error f -> Alcotest.failf "call failed: %s" (Fault.to_string f))
+    | Error f, _ -> Alcotest.failf "compile failed: %s" (Fault.to_string f)
+  in
+  let hot = serve text in
+  let hot_u = Bytecode.context hot.Serve.co_unit in
+  let hot_compiles = Bytecode.compiles hot_u in
+  let units = ref [] in
+  for k = 1 to 1000 do
+    let v = serve (variant k) in
+    ignore (serve text);
+    units := v.Serve.co_unit :: !units;
+    (* resident: the lookup finds the context the call used *)
+    let u = Bytecode.context v.Serve.co_unit in
+    let loops, subs = loops_and_subs v.Serve.co_unit in
+    let bodies, programs, analyses = Bytecode.table_sizes u in
+    (* one entry per construct and calls mode *)
+    if bodies > 2 * loops || programs > 2 * subs || analyses > subs then
+      Alcotest.failf "variant %d: tables hold %d/%d/%d entries for %d loops, %d subprograms"
+        k bodies programs analyses loops subs
+  done;
+  let registered = Bytecode.registered () in
+  check_bool "registry within its bound" true
+    (List.length registered <= Bytecode.registry_cap);
+  let resident =
+    List.filter
+      (fun u -> List.exists (fun cu -> cu == u.Bytecode.u_cu) !units)
+      registered
+  in
+  check_bool "evicted variants left the registry" true
+    (List.length resident <= capacity - 1);
+  check_bool "hot unit kept its context" true
+    (Bytecode.context hot.Serve.co_unit == hot_u);
+  check_bool "hot unit compiled something" true (hot_compiles > 0);
+  check_int "hot unit compiled each construct once" hot_compiles
+    (Bytecode.compiles hot_u);
+  let bodies, programs, _ = Bytecode.table_sizes hot_u in
+  check_int "one compile per cached program" hot_compiles (bodies + programs)
+
 let suites =
   [
     ( "listener.protocol",
@@ -615,5 +703,7 @@ let suites =
         Alcotest.test_case "LRU eviction" `Quick test_progcache_lru_eviction;
         Alcotest.test_case "failures not cached" `Quick
           test_progcache_does_not_cache_failures;
+        Alcotest.test_case "bytecode contexts bounded under churn" `Quick
+          test_contexts_bounded_under_churn;
       ] );
   ]

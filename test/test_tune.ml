@@ -207,6 +207,36 @@ let test_plan_corruption () =
   check_bool "missing file is a structured error" true
     (Result.is_error (Plan.load "/nonexistent/plan.json"))
 
+(* Saving over an existing plan replaces it whole, through a temporary
+   file that never outlives the save; a failed save leaves nothing. *)
+let test_plan_save_atomic () =
+  let dir = Filename.temp_dir "plan_save" "" in
+  let path = Filename.concat dir "plan.json" in
+  let big =
+    Plan.make ~machine:"test rig"
+      (List.init 8 (fun i ->
+           sample_entry ~digest:(String.make 32 (Char.chr (97 + i))) ()))
+  and small = Plan.make ~machine:"test rig" [ sample_entry () ] in
+  Plan.save big path;
+  let inode () = (Unix.stat path).Unix.st_ino in
+  let before = inode () in
+  Plan.save small path;
+  (* both files existed at once, so a rename shows as a new inode *)
+  check_bool "a new file was renamed into place" true (inode () <> before);
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  check_bool "replaced whole, not overwritten in place" true
+    (text = Plan.to_json small);
+  (match Plan.load path with
+  | Ok p -> check_int "one entry" 1 (List.length p.Plan.p_entries)
+  | Error e -> Alcotest.failf "reload: %s" e);
+  check_bool "no temporary file left" true (Sys.readdir dir = [| "plan.json" |]);
+  (match Plan.save small (Filename.concat dir "missing/plan.json") with
+  | () -> Alcotest.fail "saved into a missing directory"
+  | exception Sys_error _ -> ());
+  check_bool "failed save leaves nothing" true (Sys.readdir dir = [| "plan.json" |]);
+  Sys.remove path;
+  Sys.rmdir dir
+
 let test_plan_apply_counters () =
   let cu = Parser.parse_string tiny_src in
   let l = first_loop cu in
@@ -327,6 +357,8 @@ let suites =
         Alcotest.test_case "json roundtrip" `Quick test_plan_roundtrip;
         Alcotest.test_case "corruption rejected" `Quick test_plan_corruption;
         Alcotest.test_case "apply counters" `Quick test_plan_apply_counters;
+        Alcotest.test_case "save replaces atomically" `Quick
+          test_plan_save_atomic;
       ] );
     ( "tune.model",
       [
