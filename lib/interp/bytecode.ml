@@ -317,8 +317,7 @@ let ptbl_get (t : ('k, 'v) ptbl) (k : 'k) : 'v = ptbl_scan (Atomic.get t) k 0
 let ptbl_add t k v = Atomic.set t (Array.append (Atomic.get t) [| (k, v) |])
 
 (** Everything the bytecode layer keeps for one compilation unit: its
-    compiled loop bodies and subprograms (one table per calls mode:
-    index 0 without calls, 1 with), their stats sites, and the
+    compiled loop bodies and subprograms, their stats sites, and the
     per-subprogram analyses call compilation consults. *)
 type unit_ctx = {
   u_cu : Ast.compilation_unit;
@@ -326,8 +325,8 @@ type unit_ctx = {
   mutable u_key : string option;  (** stats namespace, computed on demand *)
   mutable u_sites : int;  (** loop-body sites so far, numbering their ids *)
   mutable u_stamp : int;  (** registry use clock, under [registry_mu] *)
-  u_bodies : (Ast.stmt list, compiled) ptbl array;
-  u_subs : (Ast.subprogram, compiled) ptbl array;
+  u_bodies : (Ast.stmt list, compiled) ptbl;
+  u_subs : (Ast.subprogram, compiled) ptbl;
   u_written : (Ast.subprogram, (string, unit) Hashtbl.t) ptbl;
   u_alloc : (Ast.subprogram, bool) ptbl;
   u_leaf : (Ast.subprogram, leaf_shape option) ptbl;
@@ -348,30 +347,24 @@ let memo u tbl k f =
           ptbl_add tbl k v;
           v)
 
-(* Record compile result [r] of [key] in calls mode [m]; a racing
-   domain's first insert wins.  The site is shared with the other
-   mode's entry for the same key, so a construct has one site per unit;
-   a loop-body site is numbered in first-compile order ([label#n]), a
-   subprogram's id is its label. *)
-let insert_compiled u tbls m key ~label ~numbered r : compiled =
+(* Record compile result [r] of [key] with a fresh stats site; a
+   racing domain's first insert wins.  A loop-body site is numbered in
+   first-compile order ([label#n]), a subprogram's id is its label. *)
+let insert_compiled u tbl key ~label ~numbered r : compiled =
   Atomic.incr u.u_compiles;
   locked u (fun () ->
-      try ptbl_get tbls.(m) key
+      try ptbl_get tbl key
       with Not_found ->
+        if numbered then u.u_sites <- u.u_sites + 1;
         let site =
-          try snd (ptbl_get tbls.(1 - m) key)
-          with Not_found ->
-            if numbered then u.u_sites <- u.u_sites + 1;
-            { Stats.sk_id =
-                (if numbered then Printf.sprintf "%s#%d" label u.u_sites
-                 else label);
-              sk_label = label; sk_reason = None;
-              sk_runs = Atomic.make 0; sk_bails = Atomic.make 0 }
+          { Stats.sk_id =
+              (if numbered then Printf.sprintf "%s#%d" label u.u_sites
+               else label);
+            sk_label = label;
+            sk_reason = (match r with Error why -> Some why | Ok _ -> None);
+            sk_runs = Atomic.make 0; sk_bails = Atomic.make 0 }
         in
-        (match r with
-        | Error why when site.sk_reason = None -> site.sk_reason <- Some why
-        | _ -> ());
-        ptbl_add tbls.(m) key (r, site);
+        ptbl_add tbl key (r, site);
         (r, site))
 
 (* --- the unit registry --------------------------------------------------- *)
@@ -411,8 +404,8 @@ let context (cu : Ast.compilation_unit) : unit_ctx =
           let fresh () = Atomic.make [||] in
           let u =
             { u_cu = cu; u_mu = Mutex.create (); u_key = None; u_sites = 0;
-              u_stamp = 0; u_bodies = [| fresh (); fresh () |];
-              u_subs = [| fresh (); fresh () |]; u_written = fresh ();
+              u_stamp = 0; u_bodies = fresh (); u_subs = fresh ();
+              u_written = fresh ();
               u_alloc = fresh (); u_leaf = fresh (); u_compiles = Atomic.make 0 }
           in
           registry.(!victim) <- Some u;
@@ -446,13 +439,10 @@ let key_of u =
 (** The stats namespace ([r_unit]) of [cu]'s rows. *)
 let unit_key cu = key_of (context cu)
 
-(* The distinct sites of [u], by id (ids are unique within a unit). *)
+(* The sites of [u], by id (ids are unique within a unit). *)
 let sites u =
-  let all tbls =
-    List.concat_map (fun t -> Array.to_list (Atomic.get t)) (Array.to_list tbls)
-    |> List.map (fun (_, (_, s)) -> s)
-  in
-  List.sort_uniq
+  let all t = List.map (fun (_, (_, s)) -> s) (Array.to_list (Atomic.get t)) in
+  List.sort
     (fun (a : Stats.site) b -> compare a.sk_id b.sk_id)
     (all u.u_bodies @ all u.u_subs)
 
@@ -486,25 +476,21 @@ let reset_stats () =
 (** Number of compilations [u] has run. *)
 let compiles u = Atomic.get u.u_compiles
 
-(** Entries of [u]'s tables: compiled loop bodies and compiled
-    subprograms (both calls modes), and the largest analysis table. *)
+(** Entries of [u]'s tables: compiled loop bodies, compiled
+    subprograms, and the largest analysis table. *)
 let table_sizes u =
   let n t = Array.length (Atomic.get t) in
-  ( n u.u_bodies.(0) + n u.u_bodies.(1),
-    n u.u_subs.(0) + n u.u_subs.(1),
-    max (n u.u_written) (max (n u.u_alloc) (n u.u_leaf)) )
+  (n u.u_bodies, n u.u_subs, max (n u.u_written) (max (n u.u_alloc) (n u.u_leaf)))
 
 (** Compilation environment beyond the representative scope: what the
     unit as a whole provides.  [e_unit] owns the compiled programs and
     stats sites; [e_subs] is the interpreter's subprogram table
-    (shared, read-only here); [e_calls] gates call compilation so
-    benchmarks can reproduce the PR 6 "mixed" path; and
-    [e_module_scope] peeks at already-initialized module scopes (never
-    forcing initialization) for the inliner's shadowing check. *)
+    (shared, read-only here); and [e_module_scope] peeks at
+    already-initialized module scopes (never forcing initialization)
+    for the inliner's shadowing check. *)
 type env = {
   e_unit : unit_ctx;
   e_subs : (string, Ast.subprogram * string option) Hashtbl.t;
-  e_calls : bool;
   e_module_scope : string -> Storage.scope option;
 }
 
@@ -1076,7 +1062,6 @@ and compile_desig_load ctx (parts : Ast.designator) : int =
                re-evaluates them through bind_actual *)
             match Hashtbl.find_opt ctx.env.e_subs name with
             | Some (sp, mod_name) ->
-              if not ctx.env.e_calls then bail "call";
               if has_section args then bail "section";
               note_negative ctx name;
               List.iter (fun a -> ignore (compile_expr ctx a)) args;
@@ -1403,7 +1388,6 @@ and compile_stmt ctx (s : Ast.stmt) =
     ctx.crit <- ctx.crit - 1;
     emit ctx Icrit_exit
   | Ast.Call (name, actuals) -> (
-    if not ctx.env.e_calls then bail "call";
     match Hashtbl.find_opt ctx.env.e_subs (String.lowercase_ascii name) with
     | None -> bail "unknown-call"
     | Some (sp, mod_name) ->
@@ -2071,15 +2055,14 @@ let compile_raw env ~scope ~in_sub (body : Ast.stmt list) :
   | exception Bail reason -> Error reason
 
 (** Compile a loop body (the [what] string labels the stats site), once
-    per unit and calls mode.  Returns the cached result (the program,
-    or the construct that made compilation bail) and the construct's
-    site so the caller can count runs and bind-time bails; a hit is one
-    unit-local scan. *)
+    per unit.  Returns the cached result (the program, or the construct
+    that made compilation bail) and the construct's site so the caller
+    can count runs and bind-time bails; a hit is one unit-local scan. *)
 let compile_body env ~scope ~what (body : Ast.stmt list) : compiled =
-  let u = env.e_unit and m = Bool.to_int env.e_calls in
-  try ptbl_get u.u_bodies.(m) body
+  let u = env.e_unit in
+  try ptbl_get u.u_bodies body
   with Not_found ->
-    insert_compiled u u.u_bodies m body ~label:what ~numbered:true
+    insert_compiled u u.u_bodies body ~label:what ~numbered:true
       (compile_raw env ~scope ~in_sub:false body)
 
 (** Compile a whole subprogram body against a representative callee
@@ -2087,10 +2070,10 @@ let compile_body env ~scope ~what (body : Ast.stmt list) : compiled =
     scopes; kind or folded-constant mismatches fail the bind and
     tree-walk that call only. *)
 let compile_sub env ~scope (sp : Ast.subprogram) : compiled =
-  let u = env.e_unit and m = Bool.to_int env.e_calls in
-  try ptbl_get u.u_subs.(m) sp
+  let u = env.e_unit in
+  try ptbl_get u.u_subs sp
   with Not_found ->
-    insert_compiled u u.u_subs m sp
+    insert_compiled u u.u_subs sp
       ~label:("sub " ^ String.lowercase_ascii sp.Ast.sub_name)
       ~numbered:false
       (compile_raw env ~scope ~in_sub:true sp.Ast.sub_body)

@@ -68,12 +68,11 @@ type state = {
   mutable use_bytecode : bool;
       (** lower eligible loop bodies to bytecode (default); [false]
           forces the tree-walker everywhere ([--no-bytecode]) *)
-  mutable benv : Bytecode.env;
+  benv : Bytecode.env;
       (** the compile-time environment handed to {!Bytecode}: the
           unit's context (resolved once, in {!make_state}), the
-          subprogram table for call compilation, a peek at module
-          scopes for the inliner's shadowing check, and whether calls
-          compile ([set_bytecode_calls]) *)
+          subprogram table for call compilation, and a peek at module
+          scopes for the inliner's shadowing check *)
 }
 
 let lookup = Storage.lookup
@@ -127,7 +126,6 @@ let make_state ?(printer = print_string) (cu : Ast.compilation_unit) =
       {
         Bytecode.e_unit = Bytecode.context cu;
         e_subs = subs;
-        e_calls = true;
         e_module_scope = Hashtbl.find_opt module_scopes;
       };
   }
@@ -135,10 +133,6 @@ let make_state ?(printer = print_string) (cu : Ast.compilation_unit) =
 let set_threads st n = st.default_threads <- max 1 n
 let set_schedule st s = st.default_sched <- s
 let set_bytecode st b = st.use_bytecode <- b
-
-(* [false] reproduces the PR 6 "mixed" path where every call boundary
-   bails to the tree-walker (benchmark baseline). *)
-let set_bytecode_calls st b = st.benv <- { st.benv with e_calls = b }
 
 let allocations st = Atomic.get st.alloc_count
 let reset_allocations st = Atomic.set st.alloc_count 0

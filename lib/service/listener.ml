@@ -40,14 +40,16 @@
     {2 Lifecycle}
 
     One reader domain per connection parses and {e admits} requests
-    (never compiles or executes them); a fixed team of executor
-    domains pulls admitted jobs from a bounded pending queue, resolves
-    inline scripts through the compile cache, and multiplexes their
-    parallel regions onto the shared worker pool — so both execution
-    {e and} compile work are bounded by admission.  Admission sheds
-    when the queue is at the [--max-pending] high-water mark, and the
-    accept loop sheds whole {e connections} past the
-    [lc_max_conns] cap (one overload fault at [seq] 0, then close) so
+    (never compiles or executes them) into the same {!Executor} core
+    batch serving uses; its [lc_executors] workers resolve inline
+    scripts through the compile cache and multiplex their parallel
+    regions onto the shared worker pool — so both execution {e and}
+    compile work are bounded by admission.  A transient fault is
+    retried by requeueing the job with a backoff not-before time, so
+    the worker moves on to the next request meanwhile.  Admission
+    sheds when [--max-pending] jobs are pending (ready or waiting out
+    a backoff), and the accept loop sheds whole {e connections} past
+    the [lc_max_conns] cap (one overload fault at [seq] 0, then close) so
     the per-connection reader domains can never exhaust the runtime's
     domain limit.  A connection's fd is closed as soon as its reader
     has exited (peer EOF, reset, or drain) and every admitted job on
@@ -55,8 +57,9 @@
     short-lived clients cost nothing after they disconnect.  On
     SIGTERM ({!request_stop}) the server drains: stops accepting,
     sheds any not-yet-admitted requests (still answered, with an
-    overload fault), finishes every admitted job, then closes
-    connections, unlinks the socket and returns its final {!stats}. *)
+    overload fault), closes the executor and lets its workers finish
+    every admitted job, then closes connections, unlinks the socket
+    and returns its final {!stats}. *)
 
 open Glaf_runtime
 
@@ -103,11 +106,12 @@ let unescape_script s =
 
 type config = {
   lc_socket : string;
-  lc_max_pending : int;  (** admission high-water mark (queue length) *)
+  lc_max_pending : int;
+      (** admission high-water mark: jobs ready or waiting out a backoff *)
   lc_max_conns : int;
       (** concurrent-connection cap: one reader domain per live
           connection, so this also bounds domain usage *)
-  lc_executors : int;  (** concurrent call executors *)
+  lc_executors : int;  (** executor workers: calls served at once *)
   lc_threads : int option;
   lc_sched : Sched.t option;
   lc_deadline_s : float option;  (** per-call deadline *)
@@ -163,9 +167,13 @@ type wire_job = {
   wj_seq : int;
   wj_call : Serve.call;
   wj_script : string option;
-      (** inline script, compiled by the executor {e after} admission
-          (through the cache) so [--max-pending] bounds compile work
-          too; [None] runs the startup script *)
+      (** inline script, compiled by an executor worker {e after}
+          admission (through the cache) so [--max-pending] bounds
+          compile work too; [None] runs the startup script *)
+  mutable wj_compiled : Serve.compiled option;
+      (** set by the first attempt that compiled; [None] at the end
+          means the inline script did not compile *)
+  mutable wj_ms : float;  (** run time over every attempt *)
 }
 
 type t = {
@@ -174,11 +182,7 @@ type t = {
   cache : Progcache.t;
   default_compiled : Serve.compiled;
   draining : bool Atomic.t;
-  (* bounded pending queue *)
-  qmu : Mutex.t;
-  qcv : Condition.t;
-  queue : wire_job Queue.t;
-  mutable q_closed : bool;
+  jobs : wire_job Executor.t;
   (* connection registry *)
   cmu : Mutex.t;
   mutable conns : (conn * unit Domain.t) list;
@@ -239,9 +243,7 @@ let latency_percentiles t =
   end
 
 let stats t =
-  Mutex.lock t.qmu;
-  let pending = Queue.length t.queue in
-  Mutex.unlock t.qmu;
+  let pending = Executor.pending t.jobs in
   Mutex.lock t.cmu;
   let accepted = t.accepted in
   Mutex.unlock t.cmu;
@@ -369,20 +371,21 @@ let write_all fd s =
   let b = Bytes.of_string s in
   let len = Bytes.length b in
   let rec go off =
-    if off < len then begin
-      let n = Unix.write fd b off (len - off) in
-      go (off + n)
-    end
+    if off < len then
+      match Unix.write fd b off (len - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error (EINTR, _, _) -> go off
   in
   go 0
 
-(* Serialized response write; a peer that vanished marks the
-   connection dead so queued jobs for it stop paying write syscalls. *)
+(* Serialized response write; a failed write means the peer is gone
+   (EPIPE, reset, ...): the connection is marked dead so queued jobs
+   for it stop paying write syscalls. *)
 let write_response t conn line =
   Mutex.lock conn.c_wmu;
   (if not (conn.c_dead || conn.c_closed) then
      try write_all conn.c_fd (line ^ "\n")
-     with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
+     with Unix.Unix_error _ ->
        conn.c_dead <- true;
        Atomic.incr t.write_errors);
   Mutex.unlock conn.c_wmu
@@ -432,33 +435,30 @@ let parse_request line =
       | Error e -> Rq_bad e
     else Rq_bad "expected 'run <call>[\\t<escaped-script>]' or 'status'"
 
-(* Admission: the only place requests enter the pending queue.  Sheds
-   (with the queue length observed under the lock) when the queue is
-   at the high-water mark or the server is draining — the reader never
+(* Admission: the only place requests enter the executor.  Sheds
+   (with the pending count the executor saw) when [lc_max_pending]
+   jobs are pending or the server is draining — the reader never
    blocks, so backpressure is immediate and the queue is bounded by
-   construction. *)
+   construction.  Inflight is raised before the job is visible to the
+   workers so their decrement can never undershoot. *)
 let admit t conn ~seq call script =
-  Mutex.lock t.qmu;
-  let pending = Queue.length t.queue in
-  if t.q_closed || Atomic.get t.draining || pending >= t.cfg.lc_max_pending
-  then begin
-    Mutex.unlock t.qmu;
+  Atomic.incr conn.c_inflight;
+  let job =
+    { wj_conn = conn; wj_seq = seq; wj_call = call; wj_script = script;
+      wj_compiled = None; wj_ms = 0.0 }
+  in
+  let admitted =
+    if Atomic.get t.draining then Error (Executor.pending t.jobs)
+    else Executor.submit ~limit:t.cfg.lc_max_pending t.jobs job
+  in
+  match admitted with
+  | Ok () -> ()
+  | Error pending ->
+    Atomic.decr conn.c_inflight;
     Atomic.incr t.shed;
     write_response t conn
       (fault_response ~seq
-         (Fault.Overload_fault
-            { pending; limit = t.cfg.lc_max_pending }))
-  end
-  else begin
-    (* inflight is raised before the job is visible to executors so
-       their decrement can never undershoot *)
-    Atomic.incr conn.c_inflight;
-    Queue.push
-      { wj_conn = conn; wj_seq = seq; wj_call = call; wj_script = script }
-      t.queue;
-    Condition.signal t.qcv;
-    Mutex.unlock t.qmu
-  end
+         (Fault.Overload_fault { pending; limit = t.cfg.lc_max_pending }))
 
 let handle_line t conn line =
   let line =
@@ -582,62 +582,51 @@ let reader t conn =
   release_conn conn;
   Atomic.set conn.c_done true
 
-(* --- executors ------------------------------------------------------------ *)
+(* --- executor workers -------------------------------------------------- *)
 
-let executor t =
-  let rec loop () =
-    Mutex.lock t.qmu;
-    let rec take () =
-      if not (Queue.is_empty t.queue) then Some (Queue.pop t.queue)
-      else if t.q_closed then None
-      else begin
-        Condition.wait t.qcv t.qmu;
-        take ()
-      end
-    in
-    match take () with
-    | None -> Mutex.unlock t.qmu
-    | Some job ->
-      Mutex.unlock t.qmu;
-      (* inline scripts compile here, post-admission: a shed request
-         never costs a compile, and compile work per executor is
-         serialized with its execution work *)
-      let compiled_r =
-        match job.wj_script with
-        | None -> Ok t.default_compiled
-        | Some script -> fst (Progcache.find_or_compile t.cache script)
-      in
-      let line =
-        match compiled_r with
-        | Error fault ->
-          Atomic.incr t.rejected;
-          fault_response ~seq:job.wj_seq fault
-        | Ok compiled -> (
-          let t0 = Clock.now_ns () in
-          let result =
-            Serve.run_call ?threads:t.cfg.lc_threads ?sched:t.cfg.lc_sched
-              ?deadline_s:t.cfg.lc_deadline_s ~bytecode:t.cfg.lc_bytecode
-              ~retries:t.cfg.lc_retries compiled job.wj_call
-          in
-          (* faulted calls count too: a deadline-bound tail is exactly
-             what the p99 is there to expose *)
-          record_latency t (Clock.ms_since t0);
-          match result with
-          | Ok oc ->
-            Atomic.incr t.ok;
-            outcome_response ~seq:job.wj_seq oc
-          | Error fault ->
-            Atomic.incr t.failed;
-            fault_response ~seq:job.wj_seq fault)
-      in
-      write_response t job.wj_conn line;
-      Atomic.decr job.wj_conn.c_inflight;
-      release_conn job.wj_conn;
-      loop ()
+(* One attempt.  Inline scripts compile here, post-admission: a shed
+   request never costs a compile, and a retry reuses the unit its
+   first attempt compiled. *)
+let attempt t job =
+  let compiled =
+    match (job.wj_compiled, job.wj_script) with
+    | Some c, _ -> Ok c
+    | None, None -> Ok t.default_compiled
+    | None, Some script -> fst (Progcache.find_or_compile t.cache script)
   in
-  try loop ()
-  with e ->
-    Printf.eprintf "oglaf: executor error: %s\n%!" (Printexc.to_string e)
+  match compiled with
+  | Error _ as e -> e
+  | Ok compiled ->
+    job.wj_compiled <- Some compiled;
+    let t0 = Clock.now_ns () in
+    let r =
+      Serve.run_call ?threads:t.cfg.lc_threads ?sched:t.cfg.lc_sched
+        ?deadline_s:t.cfg.lc_deadline_s ~bytecode:t.cfg.lc_bytecode compiled
+        job.wj_call
+    in
+    job.wj_ms <- job.wj_ms +. Clock.ms_since t0;
+    r
+
+let finish t job r =
+  let line =
+    match (r, job.wj_compiled) with
+    | Error fault, None ->
+      Atomic.incr t.rejected;
+      fault_response ~seq:job.wj_seq fault
+    | Ok oc, _ ->
+      Atomic.incr t.ok;
+      record_latency t job.wj_ms;
+      outcome_response ~seq:job.wj_seq oc
+    | Error fault, Some _ ->
+      (* faulted calls count too: a deadline-bound tail is exactly
+         what the p99 is there to expose *)
+      Atomic.incr t.failed;
+      record_latency t job.wj_ms;
+      fault_response ~seq:job.wj_seq fault
+  in
+  write_response t job.wj_conn line;
+  Atomic.decr job.wj_conn.c_inflight;
+  release_conn job.wj_conn
 
 (* --- lifecycle ------------------------------------------------------------ *)
 
@@ -699,10 +688,7 @@ let create ~config:cfg script_text =
         cache;
         default_compiled = compiled;
         draining = Atomic.make false;
-        qmu = Mutex.create ();
-        qcv = Condition.create ();
-        queue = Queue.create ();
-        q_closed = false;
+        jobs = Executor.create ~retries:cfg.lc_retries ();
         cmu = Mutex.create ();
         conns = [];
         accepted = 0;
@@ -759,8 +745,10 @@ let refuse_connection t fd ~live =
     final {!stats} after a full drain (admitted jobs answered,
     connections closed, socket unlinked). *)
 let serve t =
-  let executors =
-    Array.init t.cfg.lc_executors (fun _ -> Domain.spawn (fun () -> executor t))
+  let executor =
+    Domain.spawn (fun () ->
+        Executor.run t.jobs ~workers:t.cfg.lc_executors ~attempt:(attempt t)
+          ~finish:(finish t))
   in
   let rec accept_loop () =
     if Atomic.get t.draining then ()
@@ -827,13 +815,10 @@ let serve t =
     c
   in
   List.iter (fun (_, dom) -> Domain.join dom) conns;
-  (* ... then let the executors finish every admitted job. *)
-  Mutex.lock t.qmu;
-  t.q_closed <- true;
-  Condition.broadcast t.qcv;
-  Mutex.unlock t.qmu;
-  Array.iter Domain.join executors;
-  (* readers/executors already closed everything they finished with
+  (* ... then let the executor finish every admitted job. *)
+  Executor.close t.jobs;
+  Domain.join executor;
+  (* readers/workers already closed everything they finished with
      ([release_conn]); this sweep only covers a conn whose last answer
      raced the executor join, and [close_conn] is idempotent *)
   List.iter (fun (conn, _) -> close_conn conn) conns;

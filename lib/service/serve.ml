@@ -22,9 +22,10 @@
     [(outcome, Fault.t) result] instead of raising — one bad call
     (runtime error, per-call deadline, injected or real worker-pool
     failure) is classified by the {!Fault} taxonomy and the batch
-    keeps serving.  {!run_calls} collects a per-batch fault summary
-    (counts by class, first few messages) and supports abort-after-K
-    ([max_errors]) and retry-with-backoff for transient faults
+    keeps serving.  {!run_calls} serves through the shared
+    {!Executor} and collects a per-batch fault summary (counts by
+    class, first few messages); it supports abort-after-K
+    ([max_errors]) and requeue-with-backoff for transient faults
     ([retries]). *)
 
 open Glaf_fortran
@@ -195,7 +196,17 @@ let classify_exn (call : call) (e : exn) : Fault.t =
   | e ->
     Fault.Runtime_fault { call = name; line; reason = Printexc.to_string e }
 
-let run_call_once ?threads ?sched ?deadline_s ?bytecode compiled call =
+(** Run one call on a {e fresh} interpreter state (per-invocation grid
+    isolation: SAVE variables, module data and allocations of one call
+    are invisible to the next).  Never raises: failures come back as a
+    classified {!Fault.t}.  One attempt only: retries of transient
+    faults belong to the {!Executor} that {!run_calls} and the
+    listener serve through.
+
+    [deadline_s] installs a per-call watchdog token polled at pool
+    chunk boundaries and interpreter loop iterations — a runaway
+    kernel returns [Timeout_fault] instead of wedging the batch. *)
+let run_call ?threads ?sched ?deadline_s ?bytecode compiled call =
   let buf = Buffer.create 64 in
   let token = Fault.make_token ?deadline_s () in
   match
@@ -225,31 +236,6 @@ let run_call_once ?threads ?sched ?deadline_s ?bytecode compiled call =
   with
   | oc -> Ok oc
   | exception e -> Error (classify_exn call e)
-
-(** Run one call on a {e fresh} interpreter state (per-invocation grid
-    isolation: SAVE variables, module data and allocations of one call
-    are invisible to the next).  Never raises: failures come back as a
-    classified {!Fault.t}.
-
-    [deadline_s] installs a per-call watchdog token polled at pool
-    chunk boundaries and interpreter loop iterations — a runaway
-    kernel returns [Timeout_fault] instead of wedging the batch.
-    [retries] re-runs calls that failed with a {e transient} fault
-    ({!Fault.is_transient}: pool, timeout) up to that many extra
-    times, sleeping [backoff_s * 2^attempt] between tries (the pool
-    heals dead workers at the next region entry, so a post-crash retry
-    normally succeeds). *)
-let run_call ?threads ?sched ?deadline_s ?bytecode ?(retries = 0)
-    ?(backoff_s = 0.05) compiled call =
-  let rec go attempt =
-    match run_call_once ?threads ?sched ?deadline_s ?bytecode compiled call with
-    | Ok _ as ok -> ok
-    | Error f when attempt < retries && Fault.is_transient f ->
-      Unix.sleepf (backoff_s *. (2.0 ** float_of_int attempt));
-      go (attempt + 1)
-    | Error _ as err -> err
-  in
-  go 0
 
 (** Per-batch fault report. *)
 type batch = {
@@ -293,215 +279,75 @@ let summarize ~results ~skipped ~aborted =
     b_aborted = aborted;
   }
 
-let run_calls_sequential ?threads ?sched ?deadline_s ?bytecode ?retries
-    ?backoff_s ?max_errors ~on_result compiled calls =
-  let results = ref [] and failed = ref 0 in
-  let rec serve = function
-    | [] -> []
-    | call :: rest ->
-      let r =
-        run_call ?threads ?sched ?deadline_s ?bytecode ?retries ?backoff_s
-          compiled call
-      in
-      (match r with Ok _ -> () | Error _ -> incr failed);
-      results := (call, r) :: !results;
-      on_result call r;
-      let aborted =
-        match max_errors with Some k -> !failed >= k | None -> false
-      in
-      if aborted then rest else serve rest
-  in
-  let skipped = serve calls in
-  summarize ~results:(List.rev !results)
-    ~skipped:(List.length skipped) ~aborted:(skipped <> [])
+let idle_wakeups = Executor.idle_wakeups
+let reset_idle_wakeups = Executor.reset_idle_wakeups
 
-(* --- concurrent serving -------------------------------------------------- *)
-
-(* One call's slot in the concurrent scheduler.  [j_attempt] counts
-   completed tries; a transient failure with budget left goes back to
-   the delayed list with an absolute [j_not_before] instead of
-   sleeping in the slot (the retry-backoff bug of the sequential
-   path: [Unix.sleepf] there blocks the whole slot, so one flaky call
-   would stall a concurrency-N batch by occupying a slot doing
-   nothing). *)
-type job = {
-  j_call : call;
-  j_index : int;  (** position in the calls file, for ordered results *)
-  mutable j_attempt : int;
-  mutable j_not_before : float;  (** absolute earliest next try *)
-  mutable j_last_fault : Fault.t option;
-}
-
-type slot_result =
+type slot =
   | Pending
   | Done of (call * (outcome, Fault.t) result)
   | Skip  (** never attempted: batch aborted first *)
 
-(* Idle-wakeup gauge: how many times an executor slot went to sleep
-   with only backoff timers outstanding.  The sleep targets the
-   earliest not-before time exactly, so this stays O(retries) per
-   batch rather than O(backoff / poll-interval) —
-   test_serve_concurrent pins the bound. *)
-let c_idle_wakeups = Atomic.make 0
-let idle_wakeups () = Atomic.get c_idle_wakeups
-let reset_idle_wakeups () = Atomic.set c_idle_wakeups 0
-
-(* Serve the batch on [concurrency] executor domains pulling jobs from
-   a shared queue.  Each in-flight call owns a fresh interpreter state
-   and its own cancellation token (the ambient token is per-domain),
-   and its parallel regions multiplex onto the shared worker pool.
-   [on_result] is still emitted in file order: results are held back
-   until every earlier call has resolved. *)
-let run_calls_concurrent ~concurrency ?threads ?sched ?deadline_s ?bytecode
-    ?(retries = 0) ?(backoff_s = 0.05) ?max_errors ~on_result compiled calls =
-  let n = List.length calls in
-  let results = Array.make n Pending in
-  let mu = Mutex.create () and cv = Condition.create () in
-  let ready : job Queue.t = Queue.create () in
-  let delayed = ref [] in
-  let active = ref 0 and failed = ref 0 in
-  let aborted = ref false in
-  let next_emit = ref 0 in
-  List.iteri
-    (fun i c ->
-      Queue.push
-        { j_call = c; j_index = i; j_attempt = 0; j_not_before = 0.;
-          j_last_fault = None }
-        ready)
-    calls;
-  (* under [mu]: stream every result whose predecessors have resolved *)
-  let emit_in_order () =
-    let continue = ref true in
-    while !continue && !next_emit < n do
-      match results.(!next_emit) with
-      | Pending -> continue := false
-      | Skip -> incr next_emit
-      | Done (c, r) ->
-        on_result c r;
-        incr next_emit
-    done
-  in
-  (* under [mu] *)
-  let record j r =
-    results.(j.j_index) <- Done (j.j_call, r);
-    (match r with Ok _ -> () | Error _ -> incr failed);
-    (match max_errors with
-    | Some k when !failed >= k && not !aborted ->
-      aborted := true;
-      (* the abort cut: never-attempted jobs are skipped (exactly the
-         sequential semantics); jobs mid-backoff have already failed
-         at least once, so they are recorded as their last fault *)
-      let flush j =
-        match j.j_last_fault with
-        | None -> results.(j.j_index) <- Skip
-        | Some f ->
-          results.(j.j_index) <- Done (j.j_call, Error f);
-          incr failed
-      in
-      Queue.iter flush ready;
-      Queue.clear ready;
-      List.iter flush !delayed;
-      delayed := []
-    | _ -> ());
-    emit_in_order ()
-  in
-  let now = Clock.now_s in
-  let rec slot_loop () =
-    Mutex.lock mu;
-    (* promote delayed jobs whose backoff has elapsed *)
-    let t = now () in
-    let due, still = List.partition (fun j -> j.j_not_before <= t) !delayed in
-    delayed := still;
-    List.iter (fun j -> Queue.push j ready) due;
-    if not (Queue.is_empty ready) then begin
-      let j = Queue.pop ready in
-      incr active;
-      Mutex.unlock mu;
-      let r =
-        run_call_once ?threads ?sched ?deadline_s ?bytecode compiled j.j_call
-      in
-      Mutex.lock mu;
-      decr active;
-      (match r with
-      | Error f when Fault.is_transient f && j.j_attempt < retries && not !aborted ->
-        (* release the slot for the backoff: requeue with a not-before
-           time instead of sleeping here *)
-        j.j_last_fault <- Some f;
-        j.j_not_before <-
-          now () +. (backoff_s *. (2.0 ** float_of_int j.j_attempt));
-        j.j_attempt <- j.j_attempt + 1;
-        delayed := j :: !delayed
-      | r -> record j r);
-      Condition.broadcast cv;
-      Mutex.unlock mu;
-      slot_loop ()
-    end
-    else if !delayed <> [] then begin
-      (* Only backoffs outstanding: sleep until the earliest one is
-         due (the stdlib has no timed condition wait).  Sleeping the
-         full interval — not a capped poll-sleep — keeps a slot from
-         busy-spinning through a long backoff.  Progress never hangs
-         on this timer: any slot that requeues a job with an earlier
-         not-before re-enters this loop itself and either runs ready
-         work or sleeps until the new minimum, so every delayed job
-         is covered by a slot that is awake, working, or due to wake
-         no later than needed. *)
-      let due_at =
-        List.fold_left (fun a j -> Float.min a j.j_not_before) infinity !delayed
-      in
-      Atomic.incr c_idle_wakeups;
-      Mutex.unlock mu;
-      Unix.sleepf (Float.max 0.0005 (due_at -. now ()));
-      slot_loop ()
-    end
-    else if !active > 0 then begin
-      (* an in-flight call may yet requeue a retry *)
-      Condition.wait cv mu;
-      Mutex.unlock mu;
-      slot_loop ()
-    end
-    else begin
-      (* nothing queued, delayed or running: batch complete *)
-      Condition.broadcast cv;
-      Mutex.unlock mu
-    end
-  in
-  let helpers =
-    Array.init (max 0 (min concurrency n - 1)) (fun _ -> Domain.spawn slot_loop)
-  in
-  slot_loop ();
-  Array.iter Domain.join helpers;
-  let results = Array.to_list results in
-  let ordered =
-    List.filter_map (function Done cr -> Some cr | Pending | Skip -> None) results
-  in
-  let skipped =
-    List.length (List.filter (function Skip | Pending -> true | Done _ -> false) results)
-  in
-  summarize ~results:ordered ~skipped ~aborted:!aborted
-
-(** Serve a batch of calls.  A failing call is recorded and serving
-    {e continues} with the next call; [max_errors] aborts the
-    remainder of the batch once that many calls have failed
-    ([b_skipped]/[b_aborted] report the cut).  [on_result] streams
-    each result in file order (the CLI prints from it).
-
-    [concurrency] overlaps that many independent calls, each with its
-    own interpreter state and deadline token, multiplexing their
-    parallel regions onto the shared worker pool; results, ordering
-    and fault accounting match sequential serving (and for
-    deterministic schedules the per-call outputs are bit-identical —
-    chunk plans and reduction combining order do not depend on which
-    worker runs a chunk). *)
+(** Serve a batch of calls through one {!Executor} with [concurrency]
+    workers (the caller's domain is one of them).  Each in-flight call
+    owns a fresh interpreter state and its own deadline token, and
+    its parallel regions multiplex onto the shared worker pool.  A
+    failing call is recorded and serving {e continues}; [retries]
+    requeues transient faults with a [backoff_s * 2^attempt]
+    not-before time, and [max_errors] aborts the remainder of the
+    batch once that many calls have failed ([b_skipped]/[b_aborted]
+    report the cut).  [on_result] streams each result in file order
+    (the CLI prints from it): a result is held back until every
+    earlier call has resolved.  For deterministic schedules the
+    per-call outputs do not depend on [concurrency] — chunk plans and
+    reduction combining order do not depend on which worker runs a
+    chunk. *)
 let run_calls ?(concurrency = 1) ?threads ?sched ?deadline_s ?bytecode
     ?retries ?backoff_s ?max_errors ?(on_result = fun _ _ -> ()) compiled
     calls =
-  if concurrency <= 1 then
-    run_calls_sequential ?threads ?sched ?deadline_s ?bytecode ?retries
-      ?backoff_s ?max_errors ~on_result compiled calls
-  else
-    run_calls_concurrent ~concurrency ?threads ?sched ?deadline_s ?bytecode
-      ?retries ?backoff_s ?max_errors ~on_result compiled calls
+  let n = List.length calls in
+  let results = Array.make n Pending in
+  let mu = Mutex.create () in
+  let failed = ref 0 and aborted = ref false and next_emit = ref 0 in
+  let ex = Executor.create ?retries ?backoff_s () in
+  List.iteri (fun i c -> ignore (Executor.submit ex (i, c))) calls;
+  Executor.close ex;
+  (* under [mu]: stream every result whose predecessors have resolved *)
+  let rec emit_in_order () =
+    if !next_emit < n then
+      match results.(!next_emit) with
+      | Pending -> ()
+      | Skip -> incr next_emit; emit_in_order ()
+      | Done (c, r) -> on_result c r; incr next_emit; emit_in_order ()
+  in
+  let record (i, c) r =
+    results.(i) <- Done (c, r);
+    if Result.is_error r then incr failed
+  in
+  let finish job r =
+    Mutex.protect mu (fun () ->
+        record job r;
+        (match max_errors with
+        | Some k when !failed >= k && not !aborted ->
+          aborted := true;
+          (* the abort cut: never-attempted jobs are skipped; jobs
+             mid-backoff have already failed, so they count as their
+             last fault *)
+          List.iter
+            (fun (((i, _) as job), last) ->
+              match last with
+              | None -> results.(i) <- Skip
+              | Some f -> record job (Error f))
+            (Executor.abort ex)
+        | _ -> ());
+        emit_in_order ())
+  in
+  Executor.run ex ~workers:(min concurrency n) ~finish
+    ~attempt:(fun (_, c) -> run_call ?threads ?sched ?deadline_s ?bytecode compiled c);
+  let results = Array.to_list results in
+  summarize
+    ~results:(List.filter_map (function Done cr -> Some cr | Pending | Skip -> None) results)
+    ~skipped:(List.length (List.filter (function Done _ -> false | Pending | Skip -> true) results))
+    ~aborted:!aborted
 
 let pp_args ppf = function
   | [] -> Format.pp_print_string ppf "()"

@@ -719,74 +719,6 @@ let test_states_share_programs () =
   check_int "second state compiled nothing" compiled (Bytecode.compiles u2);
   check_bool "same result" true (value_opt_eq v1 v2)
 
-let twice_src =
-  {|
-real*8 function twice(x)
-  implicit none
-  real*8 :: x
-  twice = x * 2.0d0
-end function twice
-
-real*8 function sum_twice(n)
-  implicit none
-  integer :: n, i
-  real*8 :: s, t
-  s = 0.0d0
-  do i = 1, n
-    t = i
-    s = s + twice(t)
-  end do
-  sum_twice = s
-end function sum_twice
-|}
-
-(* Runs and bails of [sum_twice]'s one site after a call with calls
-   compiled or not. *)
-let run_twice cu ~calls =
-  let st = Interp.make_state ~printer:ignore cu in
-  Interp.set_bytecode_calls st calls;
-  let v = Interp.call st "sum_twice" [ Ast.Int_lit 50 ] in
-  match
-    List.filter
-      (fun r -> r.Interp.r_label = "sub sum_twice")
-      (Interp.bytecode_stats_for st)
-  with
-  | [ r ] -> (v, r.Interp.r_runs, r.Interp.r_bails)
-  | rows -> Alcotest.failf "expected one sum_twice row, got %d" (List.length rows)
-
-(* A program compiled with calls never runs on a state that has them
-   off, nor the reverse: each mode has its own table, one shared site. *)
-let test_calls_modes_isolated () =
-  let reference =
-    (run_engine ~bytecode:false (Parser.parse_string twice_src) "sum_twice"
-       [ Ast.Int_lit 50 ])
-      .r_value
-  in
-  let same what v =
-    check_bool (what ^ " matches the tree-walker") true
-      (match reference with Some r -> value_opt_eq v r | None -> false)
-  in
-  (* calls first, then without *)
-  let cu = Parser.parse_string twice_src in
-  let v, runs, bails = run_twice cu ~calls:true in
-  same "calls on" v;
-  check_int "calls on: ran compiled" 1 runs;
-  check_int "calls on: no bail" 0 bails;
-  let v, runs, bails = run_twice cu ~calls:false in
-  same "calls off after on" v;
-  check_int "calls off: no compiled run added" 1 runs;
-  check_int "calls off: bailed" 1 bails;
-  (* without calls first, then with *)
-  let cu = Parser.parse_string twice_src in
-  let v, runs, bails = run_twice cu ~calls:false in
-  same "calls off" v;
-  check_int "calls off first: bailed" 1 bails;
-  check_int "calls off first: no run" 0 runs;
-  let v, runs, bails = run_twice cu ~calls:true in
-  same "calls on after off" v;
-  check_int "calls on after off: ran compiled" 1 runs;
-  check_int "calls on after off: no bail added" 1 bails
-
 (* Two units that differ in one literal inside a loop body (the shape
    of the benchmark's served variants) each get their own programs. *)
 let test_literal_variants () =
@@ -870,8 +802,6 @@ let suites =
       [
         Alcotest.test_case "fresh states share programs" `Quick
           test_states_share_programs;
-        Alcotest.test_case "calls modes isolated" `Quick
-          test_calls_modes_isolated;
         Alcotest.test_case "literal variants" `Quick test_literal_variants;
         Alcotest.test_case "stats namespace and reset" `Quick
           test_stats_namespace;
